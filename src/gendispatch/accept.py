@@ -124,9 +124,9 @@ class AcceptSpecializer(Specializer):
 
 
 class AcceptGeneralizer(Generalizer):
-    """Keyed by the header text; `next` is what the argument would have
-    generalized to without this extension, so class-specialized methods keep
-    working."""
+    """Made per call and keyed by the header text, so the cache does not keep
+    the parsed tree alive; `next` is what the argument would have generalized
+    to without this extension, so class-specialized methods keep working."""
 
     __slots__ = ("header", "next", "_tree")
 
@@ -157,19 +157,15 @@ class AcceptGenericFunction(GenericFunction):
 
     def generalizer_hash_key(self, g):
         if isinstance(g, AcceptGeneralizer):
-            return ("accept-generalizer", g.header)
+            return g.header
         return super().generalizer_hash_key(g)
 
     def specializer_accepts_generalizer(self, s, g):
-        if isinstance(g, AcceptGeneralizer):
-            if isinstance(s, AcceptSpecializer):
-                q = quality(s.media_type, g.tree)
-                return (q is not None and q > 0, True)
-            return self.specializer_accepts_generalizer(s, g.next)
         if isinstance(s, AcceptSpecializer):
             # strings and requests always generalize to an AcceptGeneralizer
             # here, so other generalizer kinds exclude media-type methods
-            return (False, True)
+            q = quality(s.media_type, g.tree) if isinstance(g, AcceptGeneralizer) else None
+            return (q is not None and q > 0, True)
         return super().specializer_accepts_generalizer(s, g)
 
     def _extension_order(self, s1, s2, g):
@@ -185,11 +181,6 @@ class AcceptGenericFunction(GenericFunction):
             # the media type the client rates higher is more specific
             return -1 if q1 > q2 else 1
         return super()._extension_order(s1, s2, g)
-
-    def _ordering_precedence_list(self, g):
-        if isinstance(g, AcceptGeneralizer):
-            return super()._ordering_precedence_list(g.next)
-        return super()._ordering_precedence_list(g)
 
 
 def make_negotiator(media_types, cache: str = "auto") -> AcceptGenericFunction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import NoApplicableMethod
@@ -22,9 +23,12 @@ def _number(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +84,9 @@ def _cmd_walk(path: str) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except RecursionError:
+        print("form nested too deeply", file=sys.stderr)
+        return 1
     for diagnostic in diagnostics:
         print(diagnostic)
     return 0
@@ -91,6 +98,9 @@ def _cmd_fact(n) -> int:
         return 0
     except NoApplicableMethod:
         print("no-applicable-method")
+        return 1
+    except RecursionError:
+        print("recursion too deep for fact %s" % (n,), file=sys.stderr)
         return 1
 
 

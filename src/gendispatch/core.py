@@ -2,11 +2,15 @@
 
 Method selection is decoupled from argument classes through generalizers: a
 generalizer names the equivalence class of arguments that dispatch alike, and
-doubles as the source of the memoization key.  Subclasses of GenericFunction
-extend dispatch by overriding the protocol methods (generalizer_of,
-generalizer_hash_key, specializer_accepts_generalizer, specializer_order)
-for their own specializer and generalizer kinds; everything else, including
-standard method combination and effective-method caching, is shared.
+is itself the memoization key.  Equal generalizers must therefore be one
+object (the shipped ones are interned) or must hash and compare equal.
+Subclasses of GenericFunction extend dispatch by overriding the protocol
+methods (generalizer_of, generalizer_hash_key, specializer_accepts_generalizer,
+specializer_order) for their own specializer and generalizer kinds only.
+Every generalizer's `next` is the class generalizer it refines, through which
+core alone decides class and eql specializers and orders class specializers;
+everything else, including standard method combination and effective-method
+caching, is shared.
 """
 
 from __future__ import annotations
@@ -83,20 +87,31 @@ ANY = ClassSpecializer(CLASSES["t"])
 
 
 class Generalizer:
-    """Names the set of arguments that dispatch identically."""
+    """Names the set of arguments that dispatch identically.  `next` is the
+    class generalizer this one refines."""
 
     __slots__ = ()
 
 
 class ClassGeneralizer(Generalizer):
-    __slots__ = ("cls", "version")
+    """One per class: constructing it again returns the same object.  A class
+    generalizer refines nothing further, so it is its own `next`."""
 
-    def __init__(self, cls: ClassRef):
-        self.cls = cls
-        self.version = cls.version
+    __slots__ = ("cls", "next")
+
+    def __new__(cls, class_ref: ClassRef):
+        g = _CLASS_GENERALIZERS.get(class_ref)
+        if g is None:
+            g = _CLASS_GENERALIZERS[class_ref] = super().__new__(cls)
+            g.cls = class_ref
+            g.next = g
+        return g
 
     def __repr__(self):
-        return "(class-generalizer %s v%d)" % (self.cls.name, self.version)
+        return "(class-generalizer %s)" % self.cls.name
+
+
+_CLASS_GENERALIZERS: dict = {}
 
 
 class Method:
@@ -127,6 +142,8 @@ class EffectiveMethod:
         return self._call(args)
 
 
+# dispatch no longer calls this (generalizers are their own cache keys);
+# perfbench/spans.py still names it as a traced boundary
 def freeze_key(key):
     """Make a hash key usable as a dict key.  Numbers carry their kind so that
     integer and float keys with equal values stay distinct."""
@@ -155,11 +172,12 @@ def _specializer_rank(s) -> int:
 class GenericFunction:
     """A callable bundle of methods with memoized effective-method lookup.
 
-    The cache maps per-call hash keys to effective methods and is only fed
-    from definitive generalizer-based answers; add_method and remove_method
-    flush it.  `cache` is one of "auto" (single bare key when exactly one
-    argument position discriminates, else a key tuple), "list" (always a
-    tuple), or "none" (no memoization).
+    The cache maps generalizer hash keys (by default the generalizers
+    themselves) to effective methods and is only fed from definitive
+    generalizer-based answers; add_method and remove_method flush it.
+    `cache` is one of "auto" (single bare key when exactly one argument
+    position discriminates, else a key tuple), "list" (always a tuple), or
+    "none" (no memoization).
     """
 
     kind = "standard"
@@ -228,23 +246,20 @@ class GenericFunction:
         return ClassGeneralizer(class_of(arg))
 
     def generalizer_hash_key(self, g: Generalizer):
-        """A structurally comparable key naming g's equivalence class."""
-        if isinstance(g, ClassGeneralizer):
-            return (g.cls.name, g.version)
-        raise TypeError("no hash key for %r" % g)
+        """The cache key naming g's equivalence class: g itself, since equal
+        generalizers are one object."""
+        return g
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
-        caller back onto per-argument applicability for the actual call."""
-        if isinstance(g, ClassGeneralizer):
-            if isinstance(s, ClassSpecializer):
-                return (subclass_p(g.cls, s.cls), True)
-            if isinstance(s, EqlSpecializer):
-                # the class alone cannot separate the one eql object from the
-                # rest of its class
-                if class_of(s.obj) is g.cls:
-                    return (False, False)
-                return (False, True)
+        caller back onto per-argument applicability for the actual call.
+        Class and eql specializers see the argument as its class, g.next."""
+        if isinstance(s, ClassSpecializer):
+            return (subclass_p(g.next.cls, s.cls), True)
+        if isinstance(s, EqlSpecializer):
+            # the class alone cannot separate the one eql object from the
+            # rest of its class
+            return (False, class_of(s.obj) is not g.next.cls)
         return (False, False)
 
     def specializer_order(self, s1: Specializer, s2: Specializer, g: Generalizer) -> int:
@@ -257,19 +272,11 @@ class GenericFunction:
         if r1 != r2:
             return -1 if r1 < r2 else 1
         if isinstance(s1, ClassSpecializer) and isinstance(s2, ClassSpecializer):
-            return self._class_specializer_order(s1, s2, g)
+            cpl = g.next.cls.precedence_list
+            i1 = cpl.index(s1.cls)
+            i2 = cpl.index(s2.cls)
+            return -1 if i1 < i2 else (1 if i1 > i2 else 0)
         return self._extension_order(s1, s2, g)
-
-    def _class_specializer_order(self, s1, s2, g) -> int:
-        cpl = self._ordering_precedence_list(g)
-        i1 = cpl.index(s1.cls)
-        i2 = cpl.index(s2.cls)
-        return -1 if i1 < i2 else (1 if i1 > i2 else 0)
-
-    def _ordering_precedence_list(self, g):
-        if isinstance(g, ClassGeneralizer):
-            return g.cls.precedence_list
-        raise TypeError("no precedence list for %r" % g)
 
     def _extension_order(self, s1, s2, g) -> int:
         return 0
@@ -382,7 +389,7 @@ class GenericFunction:
         if self._single is not None:
             i = self._single
             g = self.generalizer_of(args[i], i)
-            key = freeze_key(self.generalizer_hash_key(g))
+            key = self.generalizer_hash_key(g)
             call = self._cache.get(key)
             if call is not None:
                 return call(args)
@@ -395,7 +402,7 @@ class GenericFunction:
         if self.cache_mode == "none":
             key = None
         else:
-            key = tuple(freeze_key(self.generalizer_hash_key(gens[i])) for i in positions)
+            key = tuple([self.generalizer_hash_key(gens[i]) for i in positions])
             call = self._cache.get(key)
             if call is not None:
                 return call(args)

@@ -2,8 +2,8 @@
 
 Values are interned symbols, cons cells, 64-bit style integers and floats,
 strings, instances of user-defined classes, and HTTP requests.  Classes live
-in a registry, each carrying a C3-linearized precedence list and a version
-token; the version only matters as part of dispatch cache keys.
+in a registry, each carrying a C3-linearized precedence list.  A class is
+compared by identity, so dispatch can key its cache on one object per class.
 """
 
 from __future__ import annotations
@@ -132,12 +132,11 @@ class LinearizationError(ClassGraphError):
 class ClassRef:
     """A node in the class graph with its cached precedence list."""
 
-    __slots__ = ("name", "direct_superclasses", "precedence_list", "ancestors", "version")
+    __slots__ = ("name", "direct_superclasses", "precedence_list", "ancestors")
 
     def __init__(self, name: str, supers: tuple):
         self.name = name
         self.direct_superclasses = supers
-        self.version = 0
         self.precedence_list = compute_precedence_list(self)
         self.ancestors = frozenset(self.precedence_list)
 

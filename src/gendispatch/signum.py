@@ -44,15 +44,21 @@ class SignumSpecializer(Specializer):
 
 class SignumGeneralizer(Generalizer):
     """Carries the type-preserving signum of the argument, so integer and
-    float arguments of equal sign share methods but not cache entries."""
+    float arguments of equal sign share methods but not cache entries.
+    Dispatch uses the six instances below; `next` is integer or float."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "next")
 
     def __init__(self, value):
         self.value = value
+        self.next = ClassGeneralizer(class_of(value))
 
     def __repr__(self):
         return "(signum-generalizer %s)" % (self.value,)
+
+
+_PLUS, _ZERO, _MINUS = (SignumGeneralizer(v) for v in (1, 0, -1))
+_PLUS_F, _ZERO_F, _MINUS_F = (SignumGeneralizer(v) for v in (1.0, 0.0, -1.0))
 
 
 class SignumGenericFunction(GenericFunction):
@@ -61,35 +67,17 @@ class SignumGenericFunction(GenericFunction):
     def generalizer_of(self, arg, position: int = 0):
         cls = arg.__class__
         if cls is int:
-            return SignumGeneralizer(1 if arg > 0 else (-1 if arg < 0 else 0))
+            return _PLUS if arg > 0 else (_MINUS if arg < 0 else _ZERO)
         if cls is float:
-            return SignumGeneralizer(1.0 if arg > 0 else (-1.0 if arg < 0 else 0.0))
+            return _PLUS_F if arg > 0 else (_MINUS_F if arg < 0 else _ZERO_F)
         return super().generalizer_of(arg, position)
 
-    def generalizer_hash_key(self, g):
-        if isinstance(g, SignumGeneralizer):
-            return g.value
-        return super().generalizer_hash_key(g)
-
     def specializer_accepts_generalizer(self, s, g):
-        if isinstance(g, SignumGeneralizer):
-            if isinstance(s, SignumSpecializer):
-                return (s.value == g.value, True)
-            # other specializer kinds see the argument through the class of
-            # its signum, which for reals is the class of the argument itself
-            return self.specializer_accepts_generalizer(
-                s, ClassGeneralizer(class_of(g.value))
-            )
         if isinstance(s, SignumSpecializer):
             # reals always generalize to a SignumGeneralizer here, so any
             # other generalizer kind excludes sign methods outright
-            return (False, True)
+            return (isinstance(g, SignumGeneralizer) and s.value == g.value, True)
         return super().specializer_accepts_generalizer(s, g)
-
-    def _ordering_precedence_list(self, g):
-        if isinstance(g, SignumGeneralizer):
-            return class_of(g.value).precedence_list
-        return super()._ordering_precedence_list(g)
 
 
 def make_fact(cache: str = "auto") -> SignumGenericFunction:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .model import CLASSES, NIL, Cons, Symbol, class_of, intern, iter_list
+from .model import CLASSES, NIL, Cons, Symbol, intern, iter_list
 from .core import (
     ANY,
     ClassGeneralizer,
@@ -48,13 +48,24 @@ class ConsSpecializer(Specializer):
 
 
 class ConsGeneralizer(Generalizer):
-    __slots__ = ("car",)
+    """One per head symbol: constructing it again returns the same object.
+    `next` is the cons class generalizer."""
 
-    def __init__(self, car: Symbol):
-        self.car = car
+    __slots__ = ("car", "next")
+
+    def __new__(cls, car: Symbol):
+        g = _CONS_GENERALIZERS.get(car)
+        if g is None:
+            g = _CONS_GENERALIZERS[car] = super().__new__(cls)
+            g.car = car
+            g.next = ClassGeneralizer(_CONS_CLASS)
+        return g
 
     def __repr__(self):
         return "(cons-generalizer %s)" % self.car
+
+
+_CONS_GENERALIZERS: dict = {}
 
 
 class ConsGenericFunction(GenericFunction):
@@ -67,28 +78,13 @@ class ConsGenericFunction(GenericFunction):
             return ConsGeneralizer(arg.car)
         return super().generalizer_of(arg, position)
 
-    def generalizer_hash_key(self, g):
-        if isinstance(g, ConsGeneralizer):
-            return g.car
-        return super().generalizer_hash_key(g)
-
     def specializer_accepts_generalizer(self, s, g):
-        if isinstance(g, ConsGeneralizer):
-            if isinstance(s, ConsSpecializer):
-                return (s.car is g.car, True)
-            # anything else sees the argument as a plain cons
-            return self.specializer_accepts_generalizer(s, ClassGeneralizer(_CONS_CLASS))
         if isinstance(s, ConsSpecializer):
             # this kind of generic function generalizes every symbol-headed
             # cons to a ConsGeneralizer, so any other generalizer rules the
             # specializer out
-            return (False, True)
+            return (isinstance(g, ConsGeneralizer) and s.car is g.car, True)
         return super().specializer_accepts_generalizer(s, g)
-
-    def _ordering_precedence_list(self, g):
-        if isinstance(g, ConsGeneralizer):
-            return _CONS_CLASS.precedence_list
-        return super()._ordering_precedence_list(g)
 
 
 @dataclass

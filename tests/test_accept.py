@@ -108,8 +108,10 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     g = gf.generalizer_of("text/html")
     assert isinstance(g, AcceptGeneralizer)
     assert g.header == "text/html"
-    assert isinstance(g.next, ClassGeneralizer) and g.next.cls.name == "string"
-    assert gf.generalizer_hash_key(g) == ("accept-generalizer", "text/html")
+    assert g.next is ClassGeneralizer(CLASSES["string"])
+    # keyed by the header text, so the cache does not hold the generalizer
+    assert gf.generalizer_hash_key(g) == "text/html"
+    assert gf.generalizer_hash_key(gf.generalizer_of("text/html")) == "text/html"
 
     req = Request("GET", "/", {"Accept": "text/plain"})
     g = gf.generalizer_of(req)
@@ -204,4 +206,9 @@ def test_request_ordering_uses_the_wrapped_class_chain() -> None:
     gf = AcceptGenericFunction("f", 1)
     req = Request("GET", "/", {"Accept": "text/html"})
     g = gf.generalizer_of(req)
-    assert gf._ordering_precedence_list(g) is CLASSES["request"].precedence_list
+    request = ClassSpecializer(CLASSES["request"])
+    standard_object = ClassSpecializer(CLASSES["standard-object"])
+    t = ClassSpecializer(CLASSES["t"])
+    assert gf.specializer_order(request, standard_object, g) == -1
+    assert gf.specializer_order(standard_object, request, g) == 1
+    assert gf.specializer_order(standard_object, t, g) == -1

@@ -59,6 +59,34 @@ def test_fact_rejects_non_numbers(capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+def test_fact_rejects_non_finite_numbers(text, capsys) -> None:
+    # "--" keeps argparse from reading "-inf" as an option
+    assert main(["fact", "--", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("text", ["500", "1e308"])
+def test_fact_too_deep_is_a_one_line_domain_error(text, capsys) -> None:
+    # 1e308 - 1 == 1e308, so that recursion never reaches the base case
+    assert main(["fact", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "recursion too deep" in captured.err
+
+
+def test_walk_too_deep_is_a_one_line_domain_error(tmp_path, capsys) -> None:
+    path = tmp_path / "deep.sexp"
+    path.write_text("(" * 600 + ")" * 600)
+    assert main(["walk", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "form nested too deeply\n"
+
+
 def test_negotiate_with_explicit_types(capsys) -> None:
     assert main(["negotiate", "text/html;q=0.5, text/plain", "text/html", "text/plain"]) == 0
     assert capsys.readouterr().out == "text/plain\n"

@@ -11,9 +11,11 @@ from gendispatch import (
     ANY,
     CLASSES,
     ClassGeneralizer,
+    ClassRegistry,
     ClassSpecializer,
     EqlSpecializer,
     GenericFunction,
+    Instance,
     Method,
     MethodNotFound,
     NoApplicableMethod,
@@ -219,7 +221,12 @@ def test_generalizer_defaults() -> None:
     g = gf.generalizer_of(3)
     assert isinstance(g, ClassGeneralizer)
     assert g.cls is CLASSES["integer"]
-    assert gf.generalizer_hash_key(g) == ("integer", g.version)
+    # equal arguments get the one interned generalizer, which is its own key
+    assert gf.generalizer_of(-7) is g
+    assert ClassGeneralizer(CLASSES["integer"]) is g
+    assert g.next is g
+    assert gf.generalizer_hash_key(g) is g
+    assert gf.generalizer_of(3.0) is not g
 
 
 def test_accepts_generalizer_examples() -> None:
@@ -327,14 +334,14 @@ def test_cache_key_shape_single_versus_list() -> None:
     auto.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     auto(1, "ignored")
     (key,) = auto._cache.keys()
-    bare = freeze_key(("integer", CLASSES["integer"].version))
-    assert key == bare  # bare key, no outer tuple
+    bare = ClassGeneralizer(CLASSES["integer"])
+    assert key is bare  # bare key, no outer tuple
 
     listy = GenericFunction("f", 2, cache="list")
     listy.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     listy(1, "ignored")
     (key,) = listy._cache.keys()
-    assert key == (bare,)  # one-element key tuple
+    assert type(key) is tuple and len(key) == 1 and key[0] is bare  # one-element key tuple
 
     off = GenericFunction("f", 2, cache="none")
     off.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
@@ -347,10 +354,22 @@ def test_auto_key_uses_tuple_for_two_dispatch_positions() -> None:
     gf.add_method(Method([cls_spec("integer"), cls_spec("string")], tagged("x")))
     gf(1, "s")
     (key,) = gf._cache.keys()
-    assert key == (
-        freeze_key(("integer", CLASSES["integer"].version)),
-        freeze_key(("string", CLASSES["string"].version)),
-    )
+    assert type(key) is tuple and len(key) == 2
+    assert key[0] is ClassGeneralizer(CLASSES["integer"])
+    assert key[1] is ClassGeneralizer(CLASSES["string"])
+    gf(2, "t")
+    assert len(gf._cache) == 1  # equal generalizers make an equal key tuple
+
+
+def test_same_named_classes_of_two_registries_keep_separate_cache_entries() -> None:
+    # the cache key is the class's own generalizer, not the class name
+    a, b = ClassRegistry(), ClassRegistry()
+    point_a, point_b = a.define("point"), b.define("point")
+    gf = GenericFunction("f", 1)
+    gf.add_method(Method([ClassSpecializer(point_a)], tagged("a-point")))
+    assert gf(Instance(point_a)) == "a-point"
+    with pytest.raises(NoApplicableMethod):
+        gf(Instance(point_b))
 
 
 def test_freeze_key_separates_numeric_kinds() -> None:

@@ -17,8 +17,6 @@ from gendispatch import (
     make_fact,
     signum,
 )
-from gendispatch.core import freeze_key
-
 from conftest import fact_oracle
 
 
@@ -68,9 +66,14 @@ def test_signum_generalizer_and_hash_key() -> None:
     g = gf.generalizer_of(7)
     assert isinstance(g, SignumGeneralizer)
     assert g.value == 1 and isinstance(g.value, int)
+    assert gf.generalizer_of(3) is g  # equal signs share one generalizer
+    assert gf.generalizer_of(7.0) is not g  # but integer and float do not
+    assert g.next is ClassGeneralizer(CLASSES["integer"])
     g = gf.generalizer_of(-2.5)
     assert g.value == -1.0 and isinstance(g.value, float)
-    assert gf.generalizer_hash_key(g) == -1.0
+    assert gf.generalizer_of(-0.5) is g
+    assert g.next is ClassGeneralizer(CLASSES["float"])
+    assert gf.generalizer_hash_key(g) is g
     g = gf.generalizer_of("not a number")
     assert isinstance(g, ClassGeneralizer)
     assert g.cls.name == "string"
@@ -140,11 +143,10 @@ def test_fact_has_no_method_for_negatives() -> None:
 def test_fact_cache_keeps_integer_and_float_entries_apart() -> None:
     fact = make_fact()
     assert fact(3) == 6
-    keys = set(fact._cache.keys())
-    assert keys == {freeze_key(1), freeze_key(0)}
+    assert len(fact._cache) == 2
     assert fact(3.0) == 6.0  # same methods, distinct cache entries
-    keys = set(fact._cache.keys())
-    assert keys == {freeze_key(1), freeze_key(0), freeze_key(1.0), freeze_key(0.0)}
+    assert len(fact._cache) == 4
+    assert set(fact._cache) == {fact.generalizer_of(x) for x in (1, 0, 1.0, 0.0)}
 
 
 def test_fact_works_without_a_cache() -> None:

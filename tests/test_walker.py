@@ -135,7 +135,11 @@ def test_cons_generalizer_used_only_for_symbol_heads() -> None:
     gf = ConsGenericFunction("g", 1)
     g = gf.generalizer_of(read_sexpr("(f 1)"))
     assert isinstance(g, ConsGeneralizer)
-    assert gf.generalizer_hash_key(g) is intern("f")
+    assert g.car is intern("f")
+    assert gf.generalizer_of(read_sexpr("(f 2 3)")) is g  # one per head symbol
+    assert gf.generalizer_of(read_sexpr("(h 1)")) is not g
+    assert g.next is ClassGeneralizer(CLASSES["cons"])
+    assert gf.generalizer_hash_key(g) is g
     g = gf.generalizer_of(cons_list(1, 2))
     assert isinstance(g, ClassGeneralizer)
     assert g.cls.name == "cons"
