@@ -3,6 +3,12 @@ type and are ordered by the client's quality values.
 
 Parsing is total: elements that do not parse are dropped.  Quality values are
 kept as exact decimals (at most three fractional digits), never floats.
+
+Dispatch depends on a header only through the client's preference order over
+the media types the function's methods name, so that order, not the header
+text, is the generalizer and the cache key: every spelling of one preference
+shares one cache entry.  A bounded per-function memo maps header text to its
+generalizer, so a repeated header is not parsed again.
 """
 
 from __future__ import annotations
@@ -50,23 +56,37 @@ def _parse_media_range(element: str) -> MediaRange | None:
     range_part = parts[0].strip().lower()
     if range_part.count("/") != 1:
         return None
-    type_, subtype = (piece.strip() for piece in range_part.split("/"))
+    type_, _, subtype = range_part.partition("/")
+    type_ = type_.strip()
+    subtype = subtype.strip()
     if type_ == "*" and subtype != "*":
         return None
     if type_ != "*" and not _TOKEN_RE.match(type_):
         return None
     if subtype != "*" and not _TOKEN_RE.match(subtype):
         return None
-    q = Fraction(1)
+    q = _ONE
     for param in parts[1:]:
         name, _, value = param.partition("=")
         if name.strip().lower() == "q":
             value = value.strip()
             if not _QVALUE_RE.match(value):
                 return None
-            q = Fraction(value)
+            # the regex admits only "0" or "1", an optional point and at
+            # most three digits, so the value is a whole number of thousandths
+            whole, _, digits = value.partition(".")
+            thousandths = int(whole + digits.ljust(3, "0"))
+            q = _Q_VALUES.get(thousandths)
+            if q is None:
+                q = _Q_VALUES[thousandths] = Fraction(thousandths, 1000)
             break  # q ends the media range; later parameters are extensions
     return MediaRange(type_, subtype, q)
+
+
+_ONE = Fraction(1)
+# exact q values by thousandths, made on first use (at most 1001 entries);
+# Fraction(str) costs several microseconds per call
+_Q_VALUES: dict = {}
 
 
 def quality(media_type: str, tree: AcceptTree) -> Fraction | None:
@@ -124,48 +144,78 @@ class AcceptSpecializer(Specializer):
 
 
 class AcceptGeneralizer(Generalizer):
-    """Made per call and keyed by the header text, so the cache does not keep
-    the parsed tree alive; `next` is what the argument would have generalized
-    to without this extension, so class-specialized methods keep working."""
+    """The client's preference order over one function's media types.
 
-    __slots__ = ("header", "next", "_tree")
+    `ranks` holds, per media type of the function's accept methods in
+    definition order, 0 when the client refuses it (no matching range, or
+    q=0) and otherwise 1 + the number of distinct higher qualities the header
+    gives those media types.  Acceptance only asks whether q > 0 and ordering
+    only compares two accepted qs, so the ranks decide both; `next` is the
+    class generalizer of the argument.  Interned per function, so it is its
+    own cache key, and it answers only for that function's specializers."""
 
-    def __init__(self, header: str, next_generalizer: Generalizer):
-        self.header = header
+    __slots__ = ("ranks", "next")
+
+    def __init__(self, ranks: tuple, next_generalizer: Generalizer):
+        self.ranks = ranks
         self.next = next_generalizer
-        self._tree = None
-
-    @property
-    def tree(self) -> AcceptTree:
-        # parsed on first use, at most once per generalizer
-        if self._tree is None:
-            self._tree = parse_accept_header(self.header)
-        return self._tree
 
     def __repr__(self):
-        return "(accept-generalizer %r)" % self.header
+        return "(accept-generalizer %s)" % " ".join(map(str, self.ranks))
+
+
+# header texts remembered per function.  Clients repeat a few headers; a full
+# memo starts afresh, so distinct headers cannot grow it without bound
+MEMO_LIMIT = 1024
 
 
 class AcceptGenericFunction(GenericFunction):
     kind = "accept"
 
-    def generalizer_of(self, arg, position: int = 0):
-        header = _header_of(arg)
-        if header is not None:
-            return AcceptGeneralizer(header, super().generalizer_of(arg, position))
-        return super().generalizer_of(arg, position)
+    def _methods_changed(self):
+        super()._methods_changed()
+        media_types = {}
+        for m in self.methods:
+            for s in m.specializers:
+                if isinstance(s, AcceptSpecializer):
+                    media_types.setdefault(s.media_type, len(media_types))
+        self._media_index = media_types  # media type -> index into ranks
+        self._generalizers = {}  # (ranks, next) -> the interned generalizer
+        self._memo = {}  # (header, next) -> generalizer
 
-    def generalizer_hash_key(self, g):
-        if isinstance(g, AcceptGeneralizer):
-            return g.header
-        return super().generalizer_hash_key(g)
+    def generalizer_of(self, arg, position: int = 0):
+        next_generalizer = super().generalizer_of(arg, position)
+        header = _header_of(arg)
+        if header is None:
+            return next_generalizer
+        memo = self._memo
+        g = memo.get((header, next_generalizer))
+        if g is None:
+            tree = parse_accept_header(header)
+            # parsed q values are whole thousandths; as integers they hash
+            # and compare in a fraction of the time Fractions take
+            qs = []
+            for media_type in self._media_index:
+                q = quality(media_type, tree)
+                qs.append(q.numerator * 1000 // q.denominator if q else 0)
+            higher = sorted(set(qs), reverse=True)
+            ranks = tuple(higher.index(q) + 1 if q else 0 for q in qs)
+            g = self._generalizers.get((ranks, next_generalizer))
+            if g is None:
+                g = AcceptGeneralizer(ranks, next_generalizer)
+                self._generalizers[ranks, next_generalizer] = g
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[header, next_generalizer] = g
+        return g
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, AcceptSpecializer):
             # strings and requests always generalize to an AcceptGeneralizer
             # here, so other generalizer kinds exclude media-type methods
-            q = quality(s.media_type, g.tree) if isinstance(g, AcceptGeneralizer) else None
-            return (q is not None and q > 0, True)
+            if isinstance(g, AcceptGeneralizer):
+                return (g.ranks[self._media_index[s.media_type]] > 0, True)
+            return (False, True)
         return super().specializer_accepts_generalizer(s, g)
 
     def _extension_order(self, s1, s2, g):
@@ -174,12 +224,11 @@ class AcceptGenericFunction(GenericFunction):
             and isinstance(s2, AcceptSpecializer)
             and isinstance(g, AcceptGeneralizer)
         ):
-            q1 = quality(s1.media_type, g.tree)
-            q2 = quality(s2.media_type, g.tree)
-            if q1 == q2:
-                return 0
-            # the media type the client rates higher is more specific
-            return -1 if q1 > q2 else 1
+            # the media type the client rates higher (a lower rank) is
+            # more specific
+            r1 = g.ranks[self._media_index[s1.media_type]]
+            r2 = g.ranks[self._media_index[s2.media_type]]
+            return (r1 > r2) - (r1 < r2)
         return super()._extension_order(s1, s2, g)
 
 

@@ -55,9 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mark_number_operand(argv):
+    """argparse reads "-inf", "-nan" and "-1e5" as options, not as fact's
+    operand; put "--" before any number so that _number judges it."""
+    if len(argv) == 2 and argv[0] == "fact":
+        try:
+            float(argv[1])
+        except ValueError:
+            return argv
+        return ["fact", "--", argv[1]]
+    return argv
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_mark_number_operand(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

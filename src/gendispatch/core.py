@@ -21,6 +21,10 @@ from .model import CLASSES, ClassRef, class_of, eql, format_value, subclass_p
 
 QUALIFIERS = ("primary", "before", "after", "around")
 
+# entries one generic function's cache may hold; a miss that finds it full
+# starts it afresh, so arguments from outside cannot grow it without bound
+CACHE_LIMIT = 4096
+
 
 class DispatchError(Exception):
     pass
@@ -174,7 +178,8 @@ class GenericFunction:
 
     The cache maps generalizer hash keys (by default the generalizers
     themselves) to effective methods and is only fed from definitive
-    generalizer-based answers; add_method and remove_method flush it.
+    generalizer-based answers; add_method and remove_method flush it, and it
+    is cleared when it reaches CACHE_LIMIT entries.
     `cache` is one of "auto" (single bare key when exactly one argument
     position discriminates, else a key tuple), "list" (always a tuple), or
     "none" (no memoization).
@@ -190,8 +195,7 @@ class GenericFunction:
         self.cache_mode = cache
         self.methods: list[Method] = []
         self._cache: dict = {}
-        self._dispatch_positions: tuple[int, ...] = ()
-        self._single: int | None = None  # the one dispatch position, when bare keys apply
+        self._methods_changed()
 
     def __repr__(self):
         return "#<%s-generic-function %s/%d>" % (self.kind, self.name, self.nargs)
@@ -227,6 +231,8 @@ class GenericFunction:
         raise MethodNotFound("%r is not a method of %s" % (method, self.name))
 
     def _methods_changed(self):
+        """Flush the cache and recompute what dispatch derives from the
+        method set; subclasses extend it for their own derived state."""
         self._cache.clear()
         positions = set()
         for m in self.methods:
@@ -234,6 +240,7 @@ class GenericFunction:
                 if not (isinstance(s, ClassSpecializer) and s.cls is ANY.cls):
                     positions.add(i)
         self._dispatch_positions = tuple(sorted(positions))
+        # the one dispatch position, when bare keys apply
         if self.cache_mode == "auto" and len(positions) == 1:
             self._single = self._dispatch_positions[0]
         else:
@@ -419,6 +426,8 @@ class GenericFunction:
                 raise NoApplicableMethod(self, args)
             effective = self.compute_effective_method(methods)
             if key is not None:
+                if len(self._cache) >= CACHE_LIMIT:
+                    self._cache.clear()
                 self._cache[key] = effective._call
             return effective(args)
         methods = self.compute_applicable_methods(args)

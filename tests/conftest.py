@@ -122,9 +122,10 @@ def _labelled_body(label):
     return body
 
 
-def random_config(rng: random.Random, cache: str = "auto", calls: int = 1):
-    """One random generic function plus `calls` argument lists for it."""
-    kind = rng.choice(list(_GF_KINDS))
+def random_config(rng: random.Random, cache: str = "auto", calls: int = 1, kind: str | None = None):
+    """One random generic function, of `kind` or of a random kind, plus
+    `calls` argument lists for it."""
+    kind = kind or rng.choice(list(_GF_KINDS))
     nargs = rng.choice([1, 1, 1, 2])
     gf = _GF_KINDS[kind]("probe", nargs, cache=cache)
     for label in range(rng.randint(1, 5)):

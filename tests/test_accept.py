@@ -22,8 +22,10 @@ from gendispatch import (
     parse_accept_header,
     quality,
 )
+from gendispatch.accept import MEMO_LIMIT
+from gendispatch.httpd import make_responder, respond
 
-from conftest import random_header
+from conftest import invoke_outcome, random_config, random_header
 
 
 def ranges(header: str):
@@ -104,26 +106,30 @@ def test_accept_specializers_compare_case_folded() -> None:
 
 
 def test_accept_generalizer_wraps_the_class_generalizer() -> None:
-    gf = AcceptGenericFunction("f", 1)
+    gf = make_negotiator(["text/html", "text/plain"])
     g = gf.generalizer_of("text/html")
     assert isinstance(g, AcceptGeneralizer)
-    assert g.header == "text/html"
+    assert g.ranks == (1, 0)  # html accepted and preferred, plain refused
     assert g.next is ClassGeneralizer(CLASSES["string"])
-    # keyed by the header text, so the cache does not hold the generalizer
-    assert gf.generalizer_hash_key(g) == "text/html"
-    assert gf.generalizer_hash_key(gf.generalizer_of("text/html")) == "text/html"
+    # interned per preference order: another spelling of the same order is
+    # the same object, and that object is its own cache key
+    assert gf.generalizer_of("TEXT/HTML;q=0.7 , text/plain;q=0.000") is g
+    assert gf.generalizer_hash_key(g) is g
+    assert gf.generalizer_of("text/html;q=0.5, text/plain").ranks == (2, 1)
 
-    req = Request("GET", "/", {"Accept": "text/plain"})
-    g = gf.generalizer_of(req)
-    assert g.header == "text/plain"
-    assert g.next.cls.name == "request"
+    req = Request("GET", "/", {"Accept": "text/html"})
+    g_req = gf.generalizer_of(req)
+    assert g_req.ranks == (1, 0)
+    assert g_req.next.cls.name == "request"
+    assert g_req is not g  # same order, different class
+    assert gf.generalizer_of(Request("GET", "/", {"Accept": "text/html;q=0.2"})) is g_req
 
     g = gf.generalizer_of(42)
     assert isinstance(g, ClassGeneralizer)
 
 
 def test_generalizer_answers_for_accept_dispatch() -> None:
-    gf = AcceptGenericFunction("f", 1)
+    gf = make_negotiator(["text/html", "application/xml"])
     g = gf.generalizer_of("text/html;q=0.5, application/xml;q=0")
     html = AcceptSpecializer("text/html")
     xml = AcceptSpecializer("application/xml")
@@ -139,7 +145,7 @@ def test_generalizer_answers_for_accept_dispatch() -> None:
 
 
 def test_methods_order_by_client_preference() -> None:
-    gf = make_negotiator(["text/html", "text/plain"])
+    gf = make_negotiator(["text/html", "text/plain", "application/xml"])
     g = gf.generalizer_of("text/html;q=0.5, text/plain;q=0.9")
     html = AcceptSpecializer("text/html")
     plain = AcceptSpecializer("text/plain")
@@ -149,8 +155,14 @@ def test_methods_order_by_client_preference() -> None:
     assert gf("text/html;q=0.5, text/plain;q=0.9") == "text/plain"
 
     browserish = gf.generalizer_of("text/html,application/xml;q=0.9,*/*;q=0.8")
+    assert browserish.ranks == (1, 3, 2)
     xml = AcceptSpecializer("application/xml")
     assert gf.specializer_order(html, xml, browserish) == -1
+    assert gf.specializer_order(plain, xml, browserish) == 1
+    # equal qualities are one rank, so the order leaves them tied
+    tied = gf.generalizer_of("text/html;q=0.3, text/plain;q=0.3, application/xml")
+    assert tied.ranks == (2, 2, 1)
+    assert gf.specializer_order(html, plain, tied) == 0
 
 
 def test_negotiate_examples() -> None:
@@ -212,3 +224,110 @@ def test_request_ordering_uses_the_wrapped_class_chain() -> None:
     assert gf.specializer_order(request, standard_object, g) == -1
     assert gf.specializer_order(standard_object, request, g) == 1
     assert gf.specializer_order(standard_object, t, g) == -1
+
+
+def q_spellings(thousandths: int) -> list[str]:
+    """Every spelling the grammar allows for a q of thousandths/1000."""
+    whole, digits = divmod(thousandths, 1000)
+    digits = "%03d" % digits
+    shortest = len(digits.rstrip("0"))
+    spellings = ["%d.%s" % (whole, digits[:n]) for n in range(max(shortest, 1), 4)]
+    if shortest == 0:
+        spellings += ["%d" % whole, "%d." % whole]
+    return spellings
+
+
+def test_every_q_spelling_parses_to_the_exact_decimal() -> None:
+    assert q_spellings(500) == ["0.5", "0.50", "0.500"]
+    assert q_spellings(1000) == ["1.0", "1.00", "1.000", "1", "1."]
+    for thousandths in range(1001):
+        for text in q_spellings(thousandths):
+            (r,) = parse_accept_header("text/html;q=" + text).ranges
+            assert r.q == Fraction(text) == Fraction(thousandths, 1000)
+            assert type(r.q) is Fraction
+    (r,) = parse_accept_header("text/html; Q = 0.٥").ranges  # \d admits other digits
+    assert r.q == Fraction("0.٥")
+    for bad in ("1.5", "0.8888", "abc", "1.001", "1.0000", ".5", "00.5", "2", "-0", "+0.5", "0.5x", ""):
+        assert ranges("text/html;q=" + bad) == [], bad
+
+
+MEDIA_SPELLINGS = {
+    "text/html": ["text/html", "TEXT/HTML", "Text/Html"],
+    "application/xml": ["application/xml", "Application/XML"],
+    "text/plain": ["text/plain", "TEXT/plain"],
+    "text/*": ["text/*", "TEXT/*"],
+    "*/*": ["*/*"],
+    "image/png": ["image/png"],
+}
+
+
+def random_spelling(rng: random.Random) -> str:
+    """A random Accept header: varied ranges, q values and their spellings,
+    whitespace, case and extension parameters."""
+    elements = []
+    for _ in range(rng.randint(1, 5)):
+        element = rng.choice(MEDIA_SPELLINGS[rng.choice(list(MEDIA_SPELLINGS))])
+        if rng.random() < 0.3:
+            element += ";level=%d" % rng.randint(1, 3)
+        if rng.random() < 0.8:
+            q = rng.choice(q_spellings(rng.choice([0, 0, 100, 250, 500, 800, 900, 1000, rng.randint(0, 1000)])))
+            element += rng.choice([";q=", "; q=", ";Q = "]) + q
+        if rng.random() < 0.2:
+            element += ";ext=%d" % rng.randint(0, 9)
+        elements.append(element)
+    return rng.choice([",", ", ", " ,  "]).join(elements)
+
+
+def preference_order(header: str) -> tuple:
+    """Reference for the order a header puts on the responder's media types:
+    each type's q, replaced by its place among the distinct positive qs."""
+    tree = parse_accept_header(header)
+    qs = [quality(media_type, tree) for media_type in ("text/html", "application/xml", "text/plain")]
+    positive = sorted({q for q in qs if q}, reverse=True)
+    return tuple(positive.index(q) + 1 if q else 0 for q in qs)
+
+
+def test_header_spellings_share_cache_entries_within_bounds() -> None:
+    rng = random.Random(5)
+    headers = set()
+    while len(headers) < 4000:
+        headers.add(random_spelling(rng))
+    cached = make_responder()
+    uncached = make_responder(cache="none")
+    orders = set()
+    for header in sorted(headers):
+        arg = Request("GET", "/", {"Accept": header}) if rng.random() < 0.5 else header
+        assert respond(cached, arg) == respond(uncached, arg)
+        assert len(cached._memo) <= MEMO_LIMIT
+        orders.add((type(arg), preference_order(header)))
+    assert len(headers) > MEMO_LIMIT  # the memo started afresh at least once
+    assert 0 < len(cached._cache) <= len(orders) < len(headers) // 50
+    # a repeated header is answered from the memo without parsing
+    header = next(iter(headers))
+    g = cached.generalizer_of(header)
+    assert cached._memo[header, g.next] is g
+
+
+def test_add_method_reranks_a_known_header() -> None:
+    for arg in ("text/html;q=0.5, image/png", Request("GET", "/", {"Accept": "text/html;q=0.5, image/png"})):
+        gf = make_negotiator(["text/html"])
+        assert gf(arg) == "text/html"
+        assert gf.generalizer_of(arg).ranks == (1,)
+        png = gf.add_method(Method([AcceptSpecializer("image/png")], lambda args, _next: "image/png"))
+        assert gf(arg) == "image/png"
+        assert gf.generalizer_of(arg).ranks == (2, 1)
+        gf.remove_method(png)
+        assert gf(arg) == "text/html"
+        assert gf.generalizer_of(arg).ranks == (1,)
+
+
+def test_accept_cache_modes_agree_on_random_configurations() -> None:
+    # random accept methods mixed with class and eql methods
+    rng = random.Random(77)
+    for _ in range(150):
+        seed = rng.getrandbits(32)
+        outcomes = []
+        for mode in ("auto", "list", "none"):
+            gf, arglists = random_config(random.Random(seed), cache=mode, calls=12, kind="accept")
+            outcomes.append([invoke_outcome(gf, args) for args in arglists])
+        assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -50,22 +50,27 @@ def test_fact(capsys) -> None:
 
 
 def test_fact_negative_has_no_method(capsys) -> None:
-    assert main(["fact", "-2"]) == 1
-    assert capsys.readouterr().out == "no-applicable-method\n"
+    for text in ("-2", "-3", "-1e5", "-2.5"):
+        assert main(["fact", text]) == 1
+        assert capsys.readouterr().out == "no-applicable-method\n"
 
 
 def test_fact_rejects_non_numbers(capsys) -> None:
     assert main(["fact", "six"]) == 2
     capsys.readouterr()
+    assert main(["fact", "-x"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "-NaN"])
 def test_fact_rejects_non_finite_numbers(text, capsys) -> None:
-    # "--" keeps argparse from reading "-inf" as an option
-    assert main(["fact", "--", text]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not a finite number" in captured.err
+    # with and without "--": a leading "-" must not make argparse read
+    # "-inf" as an option
+    for argv in (["fact", "--", text], ["fact", text]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
 
 
 @pytest.mark.parametrize("text", ["500", "1e308"])

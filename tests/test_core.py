@@ -21,6 +21,7 @@ from gendispatch import (
     NoApplicableMethod,
     NoPrimaryMethod,
 )
+from gendispatch import core
 from gendispatch.core import freeze_key
 
 from conftest import invoke_outcome, random_config
@@ -390,6 +391,22 @@ def test_cache_modes_agree_on_random_traces() -> None:
             gf, arglists = random_config(random.Random(seed), cache=mode, calls=8)
             outcomes.append([invoke_outcome(gf, args) for args in arglists])
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_full_cache_starts_afresh_with_identical_results(monkeypatch) -> None:
+    monkeypatch.setattr(core, "CACHE_LIMIT", 2)
+    rng = random.Random(31)
+    clears = 0
+    for _ in range(80):
+        seed = rng.getrandbits(32)
+        gf, arglists = random_config(random.Random(seed), cache="auto", calls=12)
+        reference, _ = random_config(random.Random(seed), cache="none", calls=12)
+        for args in arglists:
+            before = len(gf._cache)
+            assert invoke_outcome(gf, args) == invoke_outcome(reference, args)
+            assert len(gf._cache) <= 2
+            clears += len(gf._cache) < before
+    assert clears > 10
 
 
 def test_effective_method_exposes_its_methods() -> None:
