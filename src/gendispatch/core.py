@@ -134,16 +134,19 @@ class Method:
 
 
 class EffectiveMethod:
-    """The combined callable for one dispatch outcome."""
+    """The combined callable for one dispatch outcome.  `entry` is the pair
+    (body, next_call): calling it runs body(args, next_call), and it is what
+    the dispatch cache stores, so a cache hit calls the first body directly."""
 
-    __slots__ = ("methods", "_call")
+    __slots__ = ("methods", "entry")
 
-    def __init__(self, methods, call):
+    def __init__(self, methods, body, next_call):
         self.methods = tuple(methods)
-        self._call = call
+        self.entry = (body, next_call)
 
     def __call__(self, args):
-        return self._call(args)
+        body, next_call = self.entry
+        return body(args, next_call)
 
 
 # dispatch no longer calls this (generalizers are their own cache keys);
@@ -177,7 +180,7 @@ class GenericFunction:
     """A callable bundle of methods with memoized effective-method lookup.
 
     The cache maps generalizer hash keys (by default the generalizers
-    themselves) to effective methods and is only fed from definitive
+    themselves) to effective-method entries and is only fed from definitive
     generalizer-based answers; add_method and remove_method flush it, and it
     is cleared when it reaches CACHE_LIMIT entries.
     `cache` is one of "auto" (single bare key when exactly one argument
@@ -354,6 +357,10 @@ class GenericFunction:
     # -- method combination (standard): arounds, befores, primaries, afters
 
     def compute_effective_method(self, methods) -> EffectiveMethod:
+        """Combine `methods` (most specific first).  With primaries only, the
+        entry is the first primary's body and the chain of the rest; with
+        befores, afters or no primary it is the combining function; each
+        around wraps the entry inside it."""
         methods = tuple(methods)
         primaries = [m for m in methods if m.qualifier == "primary"]
         befores = [m for m in methods if m.qualifier == "before"]
@@ -361,48 +368,47 @@ class GenericFunction:
         afters.reverse()
         arounds = [m for m in methods if m.qualifier == "around"]
 
-        chain = None
+        entry = None
         for m in reversed(primaries):
-            chain = _bind(m, chain)
-        name = self.name
+            entry = (m.body, None if entry is None else _bind(*entry))
+        if befores or afters or entry is None:
+            primary = entry
+            name = self.name
 
-        if befores or afters or chain is None:
-
-            def core(args):
-                if chain is None:
+            def combined(args, _next):
+                if primary is None:
                     raise NoPrimaryMethod(name, args)
                 for m in befores:
                     m.body(args, None)
-                result = chain(args)
+                body, next_call = primary
+                result = body(args, next_call)
                 for m in afters:
                     m.body(args, None)
                 return result
 
-        else:
-            core = chain
-
-        entry = core
+            entry = (combined, None)
         for m in reversed(arounds):
-            entry = _bind(m, entry)
-        return EffectiveMethod(methods, entry)
+            entry = (m.body, _bind(*entry))
+        return EffectiveMethod(methods, *entry)
 
     # -- the discriminating function
 
     def __call__(self, *args):
         if len(args) != self.nargs:
             raise TypeError("%s expects %d arguments, got %d" % (self.name, self.nargs, len(args)))
-        positions = self._dispatch_positions
         # fast path: one discriminating position, bare key, warm cache
         if self._single is not None:
             i = self._single
             g = self.generalizer_of(args[i], i)
             key = self.generalizer_hash_key(g)
-            call = self._cache.get(key)
-            if call is not None:
-                return call(args)
+            entry = self._cache.get(key)
+            if entry is not None:
+                body, next_call = entry
+                return body(args, next_call)
             gens = [None] * self.nargs
             gens[i] = g
             return self._dispatch(args, gens, key)
+        positions = self._dispatch_positions
         gens = [None] * self.nargs
         for i in positions:
             gens[i] = self.generalizer_of(args[i], i)
@@ -410,26 +416,30 @@ class GenericFunction:
             key = None
         else:
             key = tuple([self.generalizer_hash_key(gens[i]) for i in positions])
-            call = self._cache.get(key)
-            if call is not None:
-                return call(args)
+            entry = self._cache.get(key)
+            if entry is not None:
+                body, next_call = entry
+                return body(args, next_call)
         return self._dispatch(args, gens, key)
 
     def invoke(self, args):
         return self.__call__(*args)
 
     def _dispatch(self, args, gens, key):
-        """Cache-miss path: select, combine, and memoize when definitive."""
+        """Cache-miss path: select, combine, and memoize when definitive.  A
+        definitive empty outcome is memoized too, as an entry that raises."""
         methods, definitive = self._applicable_from_generalizers(gens)
         if definitive:
-            if not methods:
-                raise NoApplicableMethod(self, args)
-            effective = self.compute_effective_method(methods)
+            if methods:
+                entry = self.compute_effective_method(methods).entry
+            else:
+                entry = (_no_applicable_method, self)
             if key is not None:
                 if len(self._cache) >= CACHE_LIMIT:
                     self._cache.clear()
-                self._cache[key] = effective._call
-            return effective(args)
+                self._cache[key] = entry
+            body, next_call = entry
+            return body(args, next_call)
         methods = self.compute_applicable_methods(args)
         if not methods:
             raise NoApplicableMethod(self, args)
@@ -437,10 +447,13 @@ class GenericFunction:
         return self.compute_effective_method(methods)(args)
 
 
-def _bind(method, next_call):
-    body = method.body
-
+def _bind(body, next_call):
     def call(args):
         return body(args, next_call)
 
     return call
+
+
+def _no_applicable_method(args, gf):
+    # the cache entry of an empty outcome: its next_call is the function
+    raise NoApplicableMethod(gf, args)

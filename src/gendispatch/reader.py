@@ -1,4 +1,11 @@
-"""A small s-expression reader: symbols, integers, floats, strings, proper lists."""
+"""A small s-expression reader: symbols, integers, floats, strings, proper lists.
+
+One compiled regex splits the text into tokens, and `m.lastindex` names each
+token's kind.  Lists are built on an explicit stack, so nesting depth is
+bounded by memory, not by the recursion limit.  `\\s` and `str.isspace` agree
+on every code point, and `\\d` accepts every Unicode decimal digit, which
+`int` and `float` read.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,22 @@ import re
 
 from .model import NIL, Cons, intern
 
-_INT_RE = re.compile(r"[+-]?\d+$")
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+([eE][+-]?\d+))([eE][+-]?\d+)?$")
-_DELIMITERS = '()"'
+# One group per token kind.  A token ends where whitespace, a paren or a
+# quote begins.  Symbols come first, split in two groups: a token that cannot
+# start a number is matched at once, and one that starts like a number but is
+# none (`+`, `1+`, `1e3e4`) falls through to the last group.
+_END = r'(?![^\s()"])'
+_TOKENS = re.compile(
+    r'\s*(?:([^\s()"\d+.-][^\s()"]*)|(\()|(\))'
+    r'|("[^"\\]*(?:\\.[^"\\]*)*("?))'
+    r"|([+-]?\d+)" + _END
+    + r"|([+-]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+))" + _END
+    + r'|([^\s()"]+))',
+    re.DOTALL,
+)
+_SYMBOL, _OPEN, _CLOSE, _STRING, _STRING_END, _INT, _FLOAT = range(1, 8)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_NON_SPACE = re.compile(r"\S")
 
 
 class ParseError(ValueError):
@@ -19,87 +39,48 @@ class ParseError(ValueError):
 
 def read_sexpr(text: str):
     """Parse exactly one expression from `text`."""
-    reader = _Reader(text)
-    reader.skip_whitespace()
-    if reader.at_end():
-        raise ParseError("empty input", reader.pos)
-    value = reader.read_expr()
-    reader.skip_whitespace()
-    if not reader.at_end():
-        raise ParseError("trailing garbage after expression", reader.pos)
+    opens = []  # positions of the unclosed "(", innermost last
+    outer = []  # items of the enclosing unclosed lists, innermost last
+    items = []
+    # with trailing whitespace cut off, a token follows every run of it, so
+    # the leading \s* of the token regex never has to backtrack
+    for m in _TOKENS.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastindex
+        if kind == _SYMBOL:
+            value = intern(m.group(kind))
+        elif kind == _OPEN:
+            opens.append(m.start(kind))
+            outer.append(items)
+            items = []
+            continue
+        elif kind == _CLOSE:
+            if not opens:
+                raise ParseError("unbalanced close paren", m.start(kind))
+            value = NIL
+            for item in reversed(items):
+                value = Cons(item, value)
+            opens.pop()
+            items = outer.pop()
+        elif kind == _STRING:
+            if not m.group(_STRING_END):
+                raise ParseError("unterminated string opened", m.start(kind))
+            value = m.group(kind)[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == _INT:
+            value = int(m.group(kind))
+        elif kind == _FLOAT:
+            value = float(m.group(kind))
+        else:
+            value = intern(m.group(kind))
+        if not opens:
+            break
+        items.append(value)
+    else:
+        if opens:
+            raise ParseError("unterminated list opened", opens[-1])
+        raise ParseError("empty input", len(text))
+    garbage = _NON_SPACE.search(text, m.end())
+    if garbage:
+        raise ParseError("trailing garbage after expression", garbage.start())
     return value
-
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos]
-
-    def skip_whitespace(self):
-        while not self.at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def read_expr(self):
-        ch = self.peek()
-        if ch == "(":
-            return self.read_list()
-        if ch == ")":
-            raise ParseError("unbalanced close paren", self.pos)
-        if ch == '"':
-            return self.read_string()
-        return self.read_atom()
-
-    def read_list(self):
-        open_pos = self.pos
-        self.pos += 1
-        items = []
-        while True:
-            self.skip_whitespace()
-            if self.at_end():
-                raise ParseError("unterminated list opened", open_pos)
-            if self.peek() == ")":
-                self.pos += 1
-                break
-            items.append(self.read_expr())
-        result = NIL
-        for item in reversed(items):
-            result = Cons(item, result)
-        return result
-
-    def read_string(self):
-        open_pos = self.pos
-        self.pos += 1
-        chars = []
-        while True:
-            if self.at_end():
-                raise ParseError("unterminated string opened", open_pos)
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(chars)
-            if ch == "\\":
-                if self.at_end():
-                    raise ParseError("unterminated string opened", open_pos)
-                ch = self.text[self.pos]
-                self.pos += 1
-            chars.append(ch)
-
-    def read_atom(self):
-        start = self.pos
-        while not self.at_end():
-            ch = self.peek()
-            if ch.isspace() or ch in _DELIMITERS:
-                break
-            self.pos += 1
-        token = self.text[start : self.pos]
-        if _INT_RE.match(token):
-            return int(token)
-        if _FLOAT_RE.match(token):
-            return float(token)
-        return intern(token)

@@ -14,6 +14,7 @@ from gendispatch import (
     Cons,
     ConsGenericFunction,
     ConsSpecializer,
+    DispatchError,
     EqlSpecializer,
     GenericFunction,
     Method,
@@ -122,15 +123,41 @@ def _labelled_body(label):
     return body
 
 
-def random_config(rng: random.Random, cache: str = "auto", calls: int = 1, kind: str | None = None):
+# qualifier mix of the combination oracle: primaries stay the most common
+_QUALIFIER_MIX = ["primary", "primary", "before", "after", "around"]
+
+
+def _traced_body(label, qualifier: str, calls_next: bool, trace: list):
+    def body(args, next_call):
+        trace.append((qualifier, label))
+        inner = next_call(args) if calls_next and next_call is not None else None
+        return (qualifier, label, inner)
+
+    return body
+
+
+def random_config(
+    rng: random.Random,
+    cache: str = "auto",
+    calls: int = 1,
+    kind: str | None = None,
+    trace: list | None = None,
+):
     """One random generic function, of `kind` or of a random kind, plus
-    `calls` argument lists for it."""
+    `calls` argument lists for it.  Given a `trace` list, methods also draw
+    before, after and around qualifiers, and every body appends itself to
+    the trace and may call its next method."""
     kind = kind or rng.choice(list(_GF_KINDS))
     nargs = rng.choice([1, 1, 1, 2])
     gf = _GF_KINDS[kind]("probe", nargs, cache=cache)
     for label in range(rng.randint(1, 5)):
         specializers = [random_specializer(rng, kind) for _ in range(nargs)]
-        gf.add_method(Method(specializers, _labelled_body(label)))
+        if trace is None:
+            gf.add_method(Method(specializers, _labelled_body(label)))
+        else:
+            qualifier = rng.choice(_QUALIFIER_MIX)
+            body = _traced_body(label, qualifier, rng.random() < 0.7, trace)
+            gf.add_method(Method(specializers, body, qualifier))
     arglists = [[random_value(rng, kind) for _ in range(nargs)] for _ in range(calls)]
     return gf, arglists
 
@@ -140,3 +167,11 @@ def invoke_outcome(gf, args):
         return gf.invoke(args)
     except NoApplicableMethod:
         return "no-applicable-method"
+
+
+def combination_outcome(gf, args):
+    """The result of one call, or the type and message of its dispatch error."""
+    try:
+        return gf.invoke(args)
+    except DispatchError as exc:
+        return (type(exc).__name__, str(exc))

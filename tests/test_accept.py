@@ -16,6 +16,7 @@ from gendispatch import (
     ClassSpecializer,
     EqlSpecializer,
     Method,
+    NoApplicableMethod,
     Request,
     make_negotiator,
     negotiate,
@@ -331,3 +332,36 @@ def test_accept_cache_modes_agree_on_random_configurations() -> None:
             gf, arglists = random_config(random.Random(seed), cache=mode, calls=12, kind="accept")
             outcomes.append([invoke_outcome(gf, args) for args in arglists])
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class CountingNegotiator(AcceptGenericFunction):
+    """Counts the selection work done on cache misses."""
+
+    accepts_calls = 0
+
+    def specializer_accepts_generalizer(self, s, g):
+        self.accepts_calls += 1
+        return super().specializer_accepts_generalizer(s, g)
+
+
+def test_all_refused_order_is_cached_and_raises_for_each_spelling() -> None:
+    gf = CountingNegotiator("negotiate", 1)
+    reference = make_negotiator(["text/html", "application/xml"], cache="none")
+    for media_type in ("text/html", "application/xml"):
+        gf.add_method(Method([AcceptSpecializer(media_type)], lambda args, _next: "chosen"))
+    first = "text/html;q=0, application/xml;q=0"
+    again = "Application/XML ; q=0.000,text/html;q=0.0, image/png"
+    for header in (first, again):
+        with pytest.raises(NoApplicableMethod) as cached:
+            gf(header)
+        with pytest.raises(NoApplicableMethod) as uncached:
+            reference(header)
+        # the message is built from the actual argument, not the first spelling
+        assert type(cached.value) is type(uncached.value)
+        assert str(cached.value) == str(uncached.value)
+        assert header in str(cached.value)
+        if header is first:
+            assert gf.accepts_calls > 0
+            gf.accepts_calls = 0
+    assert gf.accepts_calls == 0  # the second spelling hit the cached outcome
+    assert len(gf._cache) == 1

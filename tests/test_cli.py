@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from gendispatch.cli import main
+
+from conftest import fact_oracle
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_no_command_is_a_usage_error(capsys) -> None:
@@ -90,6 +97,39 @@ def test_walk_too_deep_is_a_one_line_domain_error(tmp_path, capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "form nested too deeply\n"
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, whose stack depth does not
+    depend on the test runner's."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "gendispatch", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_fact_300_fits_the_recursion_limit() -> None:
+    result = run_cli("fact", "300")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "%d\n" % fact_oracle(300)
+
+
+def test_walk_220_deep_fits_the_recursion_limit(tmp_path) -> None:
+    path = tmp_path / "deep.sexp"
+    path.write_text("(f " * 220 + "x" + ")" * 220)
+    result = run_cli("walk", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "unbound-variable x\n"
+
+
+def test_walk_100000_deep_fails_in_the_walker_with_one_line(tmp_path) -> None:
+    # the reader reads this; the walker's recursion is the limit
+    path = tmp_path / "deep.sexp"
+    path.write_text("(" * 100_000 + ")" * 100_000)
+    result = run_cli("walk", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "form nested too deeply\n"
 
 
 def test_negotiate_with_explicit_types(capsys) -> None:

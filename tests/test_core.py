@@ -24,7 +24,7 @@ from gendispatch import (
 from gendispatch import core
 from gendispatch.core import freeze_key
 
-from conftest import invoke_outcome, random_config
+from conftest import combination_outcome, invoke_outcome, random_config
 
 
 def cls_spec(name: str) -> ClassSpecializer:
@@ -302,7 +302,7 @@ def test_cache_fills_and_hits() -> None:
     assert next(iter(gf._cache.values())) is first  # same effective method reused
     with pytest.raises(NoApplicableMethod):
         gf("s")
-    assert len(gf._cache) == 1  # empty outcomes are not cached
+    assert len(gf._cache) == 2  # a definitive empty outcome is cached, as an entry that raises
 
 
 def test_non_definitive_outcomes_are_not_cached() -> None:
@@ -391,6 +391,22 @@ def test_cache_modes_agree_on_random_traces() -> None:
             gf, arglists = random_config(random.Random(seed), cache=mode, calls=8)
             outcomes.append([invoke_outcome(gf, args) for args in arglists])
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("kind", ["standard", "cons", "signum", "accept"])
+def test_cache_modes_agree_on_random_method_combinations(kind) -> None:
+    # befores, afters and arounds mixed with primaries: every cached entry,
+    # (first body, next call) or an empty outcome, must run the same bodies
+    # in the same order as uncached dispatch
+    rng = random.Random(515)
+    for _ in range(300):
+        seed = rng.getrandbits(32)
+        runs = []
+        for mode in ("auto", "list", "none"):
+            trace = []
+            gf, arglists = random_config(random.Random(seed), cache=mode, calls=8, kind=kind, trace=trace)
+            runs.append(([combination_outcome(gf, args) for args in arglists], trace))
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_full_cache_starts_afresh_with_identical_results(monkeypatch) -> None:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gendispatch import NIL, Cons, ParseError, cons_list, format_value, intern, read_sexpr
+from gendispatch import NIL, Cons, ParseError, cons_list, format_value, intern, iter_list, read_sexpr
 
 
 def test_reads_atoms() -> None:
@@ -34,51 +34,104 @@ def test_whitespace_and_newlines() -> None:
     assert format_value(form) == "(a b c)"
 
 
+def test_unicode_whitespace_separates_tokens() -> None:
+    # the same characters str.isspace accepts, \x1c (file separator) included
+    for space in ("\xa0", "\u2003", "\x1c", "\u3000", "\x85"):
+        form = read_sexpr(space.join(["", "(a", "1", "b)", ""]))
+        assert format_value(form) == "(a 1 b)"
+
+
+def test_unicode_digits_read_as_numbers() -> None:
+    assert read_sexpr("\u0663\u0664") == 34  # ARABIC-INDIC DIGITS THREE FOUR
+    assert read_sexpr("-\uff17") == -7  # FULLWIDTH DIGIT SEVEN
+    assert read_sexpr("\u0661.\u0665") == 1.5
+    assert read_sexpr("\u00b2") is intern("\u00b2")  # superscript two is no decimal digit
+
+
+def test_tokens_that_start_like_numbers_but_are_none_are_symbols() -> None:
+    for text in ("+", "-", ".", "1+", "-x", "1e", "1e3e4", "1.5.2", "+.e1"):
+        assert read_sexpr(text) is intern(text)
+    assert read_sexpr("(f 1e3e4)").cdr.car is intern("1e3e4")
+
+
+def pinned_error(text: str):
+    with pytest.raises(ParseError) as err:
+        read_sexpr(text)
+    return str(err.value), err.value.position
+
+
 def test_empty_input_is_an_error() -> None:
-    with pytest.raises(ParseError):
-        read_sexpr("")
-    with pytest.raises(ParseError):
-        read_sexpr("   \n ")
+    assert pinned_error("") == ("empty input (at position 0)", 0)
+    assert pinned_error("   \n ") == ("empty input (at position 5)", 5)
 
 
 def test_trailing_garbage_is_an_error() -> None:
-    with pytest.raises(ParseError):
-        read_sexpr("(a) b")
+    assert pinned_error("(a) b") == ("trailing garbage after expression (at position 4)", 4)
+    assert pinned_error("a  )") == ("trailing garbage after expression (at position 3)", 3)
+    assert pinned_error('(a)\n  "unterminated') == ("trailing garbage after expression (at position 6)", 6)
 
 
 def test_unterminated_list_reports_open_position() -> None:
-    with pytest.raises(ParseError) as err:
-        read_sexpr("  (a (b)")
-    assert err.value.position == 2
+    assert pinned_error("  (a (b)") == ("unterminated list opened (at position 2)", 2)
+    # the innermost unclosed list, not the outermost
+    assert pinned_error("(a (b (c) (d  ") == ("unterminated list opened (at position 10)", 10)
 
 
 def test_unterminated_string_is_an_error() -> None:
-    with pytest.raises(ParseError):
-        read_sexpr('"abc')
+    assert pinned_error('"abc') == ("unterminated string opened (at position 0)", 0)
+    assert pinned_error('(a "b\\"c') == ("unterminated string opened (at position 3)", 3)
+    # a string that ends in a lone backslash
+    assert pinned_error('(x "ab\\') == ("unterminated string opened (at position 3)", 3)
+    assert pinned_error('(x "ab\\ ') == ("unterminated string opened (at position 3)", 3)
 
 
 def test_stray_close_paren_is_an_error() -> None:
-    with pytest.raises(ParseError):
-        read_sexpr(")")
+    assert pinned_error(")") == ("unbalanced close paren (at position 0)", 0)
+    assert pinned_error("  ) (a)") == ("unbalanced close paren (at position 2)", 2)
+
+
+def test_deep_nesting_reads_without_recursion() -> None:
+    depth = 100_000
+    form = read_sexpr("(" * depth + ")" * depth)
+    for _ in range(depth - 1):
+        assert form.cdr is NIL
+        form = form.car
+    assert form is NIL
+    assert pinned_error("(" * depth) == ("unterminated list opened (at position %d)" % (depth - 1), depth - 1)
 
 
 def test_round_trip_random_forms() -> None:
-    # print then re-read is identity for symbols, integers, and proper lists
+    # print then re-read is identity for symbols, integers, floats, strings
+    # with escapes, and proper lists
     rng = random.Random(11)
     symbols = [intern(s) for s in ("a", "b", "foo", "let", "x1")]
+    string_chars = 'ab ()"\\\n\t;\xa0\u00e9'
+    floats = [0.0, -0.0, 2.5, -1e-07, 1e16, 5e-324, 1.7976931348623157e308]
 
     def gen(depth: int):
         roll = rng.random()
-        if depth > 3 or roll < 0.3:
+        if depth > 3 or roll < 0.25:
             return rng.choice(symbols)
-        if roll < 0.5:
+        if roll < 0.4:
             return rng.randint(-100, 100)
+        if roll < 0.45:
+            return rng.choice(floats) if rng.random() < 0.3 else rng.uniform(-1e6, 1e6)
+        if roll < 0.5:
+            return "".join(rng.choice(string_chars) for _ in range(rng.randint(0, 6)))
         if roll < 0.55:
             return NIL
         return cons_list(*[gen(depth + 1) for _ in range(rng.randint(0, 4))])
 
-    for _ in range(200):
+    def shape(value):
+        # values with their types; format_value alone prints 1 and 1.0 apart
+        # but not every string escape
+        if isinstance(value, Cons):
+            return [shape(v) for v in iter_list(value)]
+        return (type(value), value)
+
+    for _ in range(300):
         form = gen(0)
         text = format_value(form)
         back = read_sexpr(text)
         assert format_value(back) == text
+        assert shape(back) == shape(form)
