@@ -5,8 +5,8 @@ generalizer names the equivalence class of arguments that dispatch alike, and
 is itself the memoization key.  Equal generalizers must therefore be one
 object (the shipped ones are interned) or must hash and compare equal.
 Subclasses of GenericFunction extend dispatch by overriding the protocol
-methods (generalizer_of, generalizer_hash_key, specializer_accepts_generalizer,
-specializer_order) for their own specializer and generalizer kinds only.
+methods (generalizer_of, specializer_accepts_generalizer, specializer_order)
+for their own specializer and generalizer kinds only.
 Every generalizer's `next` is the class generalizer it refines, through which
 core alone decides class and eql specializers and orders class specializers;
 everything else, including standard method combination and effective-method
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .model import CLASSES, ClassRef, class_of, eql, format_value, subclass_p
+from .model import _EXACT_CLASS_OF, CLASSES, ClassRef, class_of, eql, format_value, subclass_p
 
 QUALIFIERS = ("primary", "before", "after", "around")
 
@@ -117,6 +117,10 @@ class ClassGeneralizer(Generalizer):
 
 _CLASS_GENERALIZERS: dict = {}
 
+# the class generalizer of each exact type class_of knows without a fallback,
+# so that the common case of generalizer_of is one dict probe
+_EXACT_GENERALIZERS = {t: ClassGeneralizer(c) for t, c in _EXACT_CLASS_OF.items()}
+
 
 class Method:
     def __init__(self, specializers, body, qualifier: str = "primary"):
@@ -179,8 +183,8 @@ def _specializer_rank(s) -> int:
 class GenericFunction:
     """A callable bundle of methods with memoized effective-method lookup.
 
-    The cache maps generalizer hash keys (by default the generalizers
-    themselves) to effective-method entries and is only fed from definitive
+    The cache maps generalizers (a tuple of them for several positions) to
+    effective-method entries and is only fed from definitive
     generalizer-based answers; add_method and remove_method flush it, and it
     is cleared when it reaches CACHE_LIMIT entries.
     `cache` is one of "auto" (single bare key when exactly one argument
@@ -252,13 +256,9 @@ class GenericFunction:
     # -- dispatch protocol: extension points
 
     def generalizer_of(self, arg, position: int = 0) -> Generalizer:
-        """Generalizer of one argument; the default dispatches on its class."""
-        return ClassGeneralizer(class_of(arg))
-
-    def generalizer_hash_key(self, g: Generalizer):
-        """The cache key naming g's equivalence class: g itself, since equal
-        generalizers are one object."""
-        return g
+        """Generalizer of one argument; the default dispatches on its class.
+        It is also the cache key, so equal generalizers must be one object."""
+        return _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
@@ -400,14 +400,13 @@ class GenericFunction:
         if self._single is not None:
             i = self._single
             g = self.generalizer_of(args[i], i)
-            key = self.generalizer_hash_key(g)
-            entry = self._cache.get(key)
+            entry = self._cache.get(g)
             if entry is not None:
                 body, next_call = entry
                 return body(args, next_call)
             gens = [None] * self.nargs
             gens[i] = g
-            return self._dispatch(args, gens, key)
+            return self._dispatch(args, gens, g)
         positions = self._dispatch_positions
         gens = [None] * self.nargs
         for i in positions:
@@ -415,7 +414,7 @@ class GenericFunction:
         if self.cache_mode == "none":
             key = None
         else:
-            key = tuple([self.generalizer_hash_key(gens[i]) for i in positions])
+            key = tuple([gens[i] for i in positions])
             entry = self._cache.get(key)
             if entry is not None:
                 body, next_call = entry

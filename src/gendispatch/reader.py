@@ -68,7 +68,11 @@ def read_sexpr(text: str):
             if "\\" in value:
                 value = _ESCAPE.sub(r"\1", value)
         elif kind == _INT:
-            value = int(m.group(kind))
+            try:
+                value = int(m.group(kind))
+            except ValueError:
+                # past sys.get_int_max_str_digits(); float() has no such limit
+                raise ParseError("integer literal too long", m.start(kind)) from None
         elif kind == _FLOAT:
             value = float(m.group(kind))
         else:

@@ -1,14 +1,18 @@
 """Dispatch on the head symbol of a compound form, and a code walker built
 on it that reports unused bindings and unbound variable references.
+
+The walker recurses through three frames per nesting level: the walk
+function, a method body and one walk_*_form function, in whose frame a
+lambda or let scope is opened and closed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .model import CLASSES, NIL, Cons, Symbol, intern, iter_list
+from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
 from .core import (
+    _EXACT_GENERALIZERS,
     ANY,
     ClassGeneralizer,
     ClassSpecializer,
@@ -74,9 +78,10 @@ class ConsGenericFunction(GenericFunction):
     kind = "cons"
 
     def generalizer_of(self, arg, position: int = 0):
+        # the default's probe, inlined: the walker calls this once per form
         if isinstance(arg, Cons) and isinstance(arg.car, Symbol):
-            return ConsGeneralizer(arg.car)
-        return super().generalizer_of(arg, position)
+            return _CONS_GENERALIZERS.get(arg.car) or ConsGeneralizer(arg.car)
+        return _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):
@@ -97,51 +102,30 @@ class Diagnostic:
         return "%s %s" % (self.kind, self.variable)
 
 
-class Binding:
-    __slots__ = ("name", "used")
-
-    def __init__(self, name: Symbol):
-        self.name = name
-        self.used = False
-
-
 class Environment:
-    """Lexical frames; the innermost frame is consulted first."""
+    """Lexical frames, each mapping the names it binds to whether they were
+    used; the innermost frame is consulted first."""
 
     def __init__(self):
         self.frames: list[dict] = []
 
-    def lookup(self, name: Symbol) -> Binding | None:
+    def lookup(self, name: Symbol) -> dict | None:
+        """The innermost frame binding `name`, or None."""
         for frame in reversed(self.frames):
-            binding = frame.get(name)
-            if binding is not None:
-                return binding
+            if name in frame:
+                return frame
         return None
 
-    def push(self, frame: dict):
-        self.frames.append(frame)
 
-    def pop(self):
-        self.frames.pop()
-
-
-@contextmanager
-def checked_bindings(env: Environment, names, out: list, stack, anchor: int):
-    """Bind `names` for the duration of the body; afterwards, report the ones
-    never marked used.  Reports are inserted at `anchor` so that diagnostics
-    for a scope's own bindings precede those raised from inside its body."""
-    frame = {name: Binding(name) for name in names}
-    env.push(frame)
-    try:
-        yield frame
-    finally:
-        env.pop()
-        unused = [
-            Diagnostic(UNUSED_BINDING, b.name, tuple(stack))
-            for b in frame.values()
-            if not b.used
-        ]
-        out[anchor:anchor] = unused
+def _close_scope(env: Environment, out: list, stack, anchor: int):
+    """Unbind the innermost frame and report its names never used.  Reports
+    are inserted at `anchor`, so that a scope's own diagnostics precede those
+    from inside its body.  The body loop stays in the caller: a helper owning
+    it would add a frame per nesting level."""
+    frame = env.frames.pop()
+    out[anchor:anchor] = [
+        Diagnostic(UNUSED_BINDING, name, tuple(stack)) for name, used in frame.items() if not used
+    ]
 
 
 def _malformed(expr, stack, out):
@@ -150,10 +134,12 @@ def _malformed(expr, stack, out):
 
 
 def _proper_elements(expr):
-    try:
-        return list(iter_list(expr))
-    except ValueError:
-        return None
+    """The elements of a proper list, or None for any other value."""
+    parts = []
+    while isinstance(expr, Cons):
+        parts.append(expr.car)
+        expr = expr.cdr
+    return parts if expr is NIL else None
 
 
 def walk_lambda_form(expr, env, stack, walk, out):
@@ -167,9 +153,12 @@ def walk_lambda_form(expr, env, stack, walk, out):
         _malformed(expr, stack, out)
         return
     anchor = len(out)
-    with checked_bindings(env, params, out, stack, anchor):
+    env.frames.append(dict.fromkeys(params, False))
+    try:
         for form in parts[2:]:
             walk(form, env, (form,) + tuple(stack))
+    finally:
+        _close_scope(env, out, stack, anchor)
 
 
 def walk_let_form(expr, env, stack, walk, out):
@@ -199,18 +188,21 @@ def walk_let_form(expr, env, stack, walk, out):
     anchor = len(out)
     for init in inits:
         walk(init, env, (init,) + tuple(stack))
-    with checked_bindings(env, names, out, stack, anchor):
+    env.frames.append(dict.fromkeys(names, False))
+    try:
         for form in parts[2:]:
             walk(form, env, (form,) + tuple(stack))
+    finally:
+        _close_scope(env, out, stack, anchor)
 
 
 def walk_symbol_form(expr, env, stack, out):
     if expr is NIL:
         # the empty list is self-evaluating, not a variable reference
         return
-    binding = env.lookup(expr)
-    if binding is not None:
-        binding.used = True
+    frame = env.lookup(expr)
+    if frame is not None:
+        frame[expr] = True
     else:
         out.append(Diagnostic(UNBOUND_VARIABLE, expr, tuple(stack)))
 

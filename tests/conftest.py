@@ -10,6 +10,7 @@ from gendispatch import (
     NIL,
     AcceptGenericFunction,
     AcceptSpecializer,
+    ClassRegistry,
     ClassSpecializer,
     Cons,
     ConsGenericFunction,
@@ -17,14 +18,39 @@ from gendispatch import (
     DispatchError,
     EqlSpecializer,
     GenericFunction,
+    Instance,
     Method,
     NoApplicableMethod,
     Request,
     SignumGenericFunction,
     SignumSpecializer,
+    Symbol,
     cons_list,
     intern,
 )
+
+
+class _Int(int):
+    pass
+
+
+class _Symbol(Symbol):
+    pass
+
+
+class _Cons(Cons):
+    pass
+
+
+def value_kinds():
+    """One value of each kind class_of knows, and of subclasses of some;
+    conses with and without a symbol head."""
+    point = ClassRegistry().define("point")
+    return [
+        3, -2.5, "s", intern("a"), NIL, cons_list(intern("f"), 1), cons_list(1, 2),
+        True, False, Request("GET", "/"), Instance(point), _Int(4), _Symbol("b"),
+        _Cons(intern("f"), NIL), _Cons(_Symbol("c"), NIL), _Cons(1, NIL), None, object(),
+    ]
 
 
 def fact_oracle(n: int) -> int:

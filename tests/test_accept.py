@@ -115,7 +115,9 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     # interned per preference order: another spelling of the same order is
     # the same object, and that object is its own cache key
     assert gf.generalizer_of("TEXT/HTML;q=0.7 , text/plain;q=0.000") is g
-    assert gf.generalizer_hash_key(g) is g
+    assert gf("text/html") == "text/html"
+    (key,) = gf._cache
+    assert key is g
     assert gf.generalizer_of("text/html;q=0.5, text/plain").ranks == (2, 1)
 
     req = Request("GET", "/", {"Accept": "text/html"})

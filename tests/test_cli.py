@@ -122,6 +122,30 @@ def test_walk_220_deep_fits_the_recursion_limit(tmp_path) -> None:
     assert result.stdout == "unbound-variable x\n"
 
 
+@pytest.mark.parametrize(
+    "scope",
+    ["(lambda (x) ", "(let ((x 1)) "],
+)
+def test_walk_240_deep_binding_scopes_fit_the_recursion_limit(scope, tmp_path) -> None:
+    # each scope's body loop runs in its walk_*_form frame; one more frame
+    # per level would bring the limit below 200
+    path = tmp_path / "deep.sexp"
+    path.write_text(scope * 240 + "x" + ")" * 240)
+    result = run_cli("walk", str(path))
+    assert result.returncode == 0, result.stderr
+    # every x but the innermost is shadowed before it is used
+    assert result.stdout == "unused-binding x\n" * 239
+
+
+def test_walk_integer_literal_too_long_is_a_one_line_error(tmp_path) -> None:
+    path = tmp_path / "long.sexp"
+    path.write_text("(f %s)" % ("1" * 5000))
+    result = run_cli("walk", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "integer literal too long (at position 3)\n"
+
+
 def test_walk_100000_deep_fails_in_the_walker_with_one_line(tmp_path) -> None:
     # the reader reads this; the walker's recursion is the limit
     path = tmp_path / "deep.sexp"

@@ -20,11 +20,12 @@ from gendispatch import (
     MethodNotFound,
     NoApplicableMethod,
     NoPrimaryMethod,
+    class_of,
 )
 from gendispatch import core
 from gendispatch.core import freeze_key
 
-from conftest import combination_outcome, invoke_outcome, random_config
+from conftest import combination_outcome, invoke_outcome, random_config, value_kinds
 
 
 def cls_spec(name: str) -> ClassSpecializer:
@@ -219,6 +220,7 @@ def test_definitiveness_ignores_method_order() -> None:
 
 def test_generalizer_defaults() -> None:
     gf = GenericFunction("f", 1)
+    gf.add_method(Method([cls_spec("integer")], tagged("integer")))
     g = gf.generalizer_of(3)
     assert isinstance(g, ClassGeneralizer)
     assert g.cls is CLASSES["integer"]
@@ -226,8 +228,16 @@ def test_generalizer_defaults() -> None:
     assert gf.generalizer_of(-7) is g
     assert ClassGeneralizer(CLASSES["integer"]) is g
     assert g.next is g
-    assert gf.generalizer_hash_key(g) is g
+    gf(-7)
+    (key,) = gf._cache
+    assert key is g
     assert gf.generalizer_of(3.0) is not g
+
+
+def test_generalizer_table_agrees_with_class_of() -> None:
+    gf = GenericFunction("f", 1)
+    for v in value_kinds():
+        assert gf.generalizer_of(v) is ClassGeneralizer(class_of(v)), v
 
 
 def test_accepts_generalizer_examples() -> None:

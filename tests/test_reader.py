@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -88,6 +89,18 @@ def test_unterminated_string_is_an_error() -> None:
 def test_stray_close_paren_is_an_error() -> None:
     assert pinned_error(")") == ("unbalanced close paren (at position 0)", 0)
     assert pinned_error("  ) (a)") == ("unbalanced close paren (at position 2)", 2)
+
+
+def test_integer_literal_too_long_is_an_error() -> None:
+    digits = "1" * 5000
+    assert pinned_error("(f %s)" % digits) == ("integer literal too long (at position 3)", 3)
+    # the position is the token's start, its sign included
+    assert pinned_error("(f -%s)" % digits) == ("integer literal too long (at position 3)", 3)
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        assert read_sexpr("9" * limit) == int("9" * limit)
+    # float() has no digit limit
+    assert read_sexpr(digits + ".5") == float("inf")
 
 
 def test_deep_nesting_reads_without_recursion() -> None:

@@ -73,7 +73,10 @@ def test_signum_generalizer_and_hash_key() -> None:
     assert g.value == -1.0 and isinstance(g.value, float)
     assert gf.generalizer_of(-0.5) is g
     assert g.next is ClassGeneralizer(CLASSES["float"])
-    assert gf.generalizer_hash_key(g) is g
+    gf.add_method(Method([SignumSpecializer(-1)], lambda args, _next: "negative"))
+    assert gf(-0.5) == "negative"
+    (key,) = gf._cache
+    assert key is g
     g = gf.generalizer_of("not a number")
     assert isinstance(g, ClassGeneralizer)
     assert g.cls.name == "string"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
 
@@ -16,15 +18,20 @@ from gendispatch import (
     ConsSpecializer,
     Diagnostic,
     Method,
+    Symbol,
     Walker,
+    class_of,
     cons_list,
     intern,
+    iter_list,
     read_sexpr,
     walk_check,
 )
-from gendispatch.walker import Environment
+from gendispatch.walker import UNBOUND_VARIABLE, UNUSED_BINDING, Environment
 
-from conftest import WALKER_FIXTURES, diagnostic_pairs
+from conftest import WALKER_FIXTURES, diagnostic_pairs, value_kinds
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.mark.parametrize("source,expected", WALKER_FIXTURES)
@@ -139,10 +146,23 @@ def test_cons_generalizer_used_only_for_symbol_heads() -> None:
     assert gf.generalizer_of(read_sexpr("(f 2 3)")) is g  # one per head symbol
     assert gf.generalizer_of(read_sexpr("(h 1)")) is not g
     assert g.next is ClassGeneralizer(CLASSES["cons"])
-    assert gf.generalizer_hash_key(g) is g
+    gf.add_method(Method([ConsSpecializer(intern("f"))], lambda args, _next: "f form"))
+    assert gf(read_sexpr("(f)")) == "f form"
+    (key,) = gf._cache
+    assert key is g
     g = gf.generalizer_of(cons_list(1, 2))
     assert isinstance(g, ClassGeneralizer)
     assert g.cls.name == "cons"
+
+
+def test_walk_function_generalizes_cons_subclasses_by_head() -> None:
+    gf = Walker().gf
+    for v in value_kinds():
+        if isinstance(v, Cons) and isinstance(v.car, Symbol):
+            assert gf.generalizer_of(v) is ConsGeneralizer(v.car), v
+        else:
+            # the standard function's class generalizer
+            assert gf.generalizer_of(v) is ClassGeneralizer(class_of(v)), v
 
 
 def test_cons_specializer_requires_a_symbol() -> None:
@@ -198,3 +218,36 @@ def test_diagnostics_are_fresh_per_check() -> None:
     second = walker.check_source("(let ((x 1)) x)")
     assert len(first) == 2
     assert second == []
+
+
+def _bound_names(scope):
+    # the names a well-formed lambda or let form binds
+    second = scope.cdr.car
+    if scope.car is intern("lambda"):
+        return set(iter_list(second))
+    return {binding.car for binding in iter_list(second)}
+
+
+def test_walker_agrees_with_the_benchmark_generator() -> None:
+    # the benchmark's generator computes its expected diagnostics from the
+    # structure it chose, without gendispatch
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(PERFBENCH)
+    programs = [(read_sexpr(text), expected) for text, expected in inputs.walk_inputs(random.Random(23), 300)]
+    scopes = (intern("lambda"), intern("let"))
+    for mode in ("auto", "list", "none"):
+        walker = Walker(cache=mode)
+        for form, expected in programs:
+            diagnostics = walker.check_form(form)
+            assert diagnostic_pairs(diagnostics) == expected
+            for d in diagnostics:
+                assert d.context[-1] is form
+                if d.kind == UNBOUND_VARIABLE:
+                    assert d.context[0] is d.variable
+                else:
+                    assert d.kind == UNUSED_BINDING
+                    assert d.context[0].car in scopes
+                    assert d.variable in _bound_names(d.context[0])
