@@ -2,13 +2,16 @@
 type and are ordered by the client's quality values.
 
 Parsing is total: elements that do not parse are dropped.  Quality values are
-kept as exact decimals (at most three fractional digits), never floats.
+kept as exact decimals (at most three fractional digits), never floats.  The
+header is lower-cased once; one regex match per element gives its range and q.
 
 Dispatch depends on a header only through the client's preference order over
 the media types the function's methods name, so that order, not the header
 text, is the generalizer and the cache key: every spelling of one preference
-shares one cache entry.  A bounded per-function memo maps header text to its
-generalizer, so a repeated header is not parsed again.
+shares one cache entry.  A per-function match table maps each range that can
+match the function's media types to them, so ranking is one probe per range.
+A bounded per-function memo maps header text to its generalizer, so a
+repeated header is not parsed again.
 """
 
 from __future__ import annotations
@@ -16,12 +19,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .model import Request
-from .core import Generalizer, GenericFunction, Method, NoApplicableMethod, Specializer
+from .model import Request, class_of
+from .core import _EXACT_GENERALIZERS, ClassGeneralizer, Generalizer, GenericFunction
+from .core import Method, NoApplicableMethod, Specializer
 
-_TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+$")
-_QVALUE_RE = re.compile(r"(0(\.\d{0,3})?|1(\.0{0,3})?)$")
+_TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
+# one element of a lower-cased header: type/subtype (a type of * needs a
+# subtype of *), then parameters; the first named q must hold a valid q value
+# (group 3), and what follows it is ignored.  \s is what str.strip removes
+_ELEMENT = re.compile(
+    r"\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;]|\Z)))(%s)\s*/\s*(%s)\s*"
+    r"(?:;(?!\s*q\s*(?:[=;]|\Z))[^;]*)*"
+    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;]*)*)?" % (_TOKEN, _TOKEN)
+).fullmatch
 
 
 @dataclass(frozen=True)
@@ -38,55 +50,30 @@ class AcceptTree:
     ranges: tuple[MediaRange, ...]
 
 
+def _media_ranges(header: str) -> list:
+    """(type, subtype, q in thousandths) per well-formed element, in header
+    order.  Malformed elements are dropped, a missing q means 1000, and
+    parameters other than q are ignored."""
+    ranges = []
+    for element in header.lower().split(","):
+        m = _ELEMENT(element)
+        if m is not None:
+            type_, subtype, q = m.groups()
+            # q is "0" or "1", then maybe a point and up to three digits
+            q = 1000 if q is None or q[0] == "1" else int(q[2:].ljust(3, "0"))
+            ranges.append((type_, subtype, q))
+    return ranges
+
+
 def parse_accept_header(header: str) -> AcceptTree:
     """Parse an Accept header.  Malformed elements are dropped, a missing q
     defaults to 1, and parameters other than q are ignored."""
-    ranges = []
-    for element in header.split(","):
-        parsed = _parse_media_range(element.strip())
-        if parsed is not None:
-            ranges.append(parsed)
-    return AcceptTree(tuple(ranges))
+    return AcceptTree(tuple(MediaRange(t, s, _q_value(q)) for t, s, q in _media_ranges(header)))
 
 
-def _parse_media_range(element: str) -> MediaRange | None:
-    if not element:
-        return None
-    parts = element.split(";")
-    range_part = parts[0].strip().lower()
-    if range_part.count("/") != 1:
-        return None
-    type_, _, subtype = range_part.partition("/")
-    type_ = type_.strip()
-    subtype = subtype.strip()
-    if type_ == "*" and subtype != "*":
-        return None
-    if type_ != "*" and not _TOKEN_RE.match(type_):
-        return None
-    if subtype != "*" and not _TOKEN_RE.match(subtype):
-        return None
-    q = _ONE
-    for param in parts[1:]:
-        name, _, value = param.partition("=")
-        if name.strip().lower() == "q":
-            value = value.strip()
-            if not _QVALUE_RE.match(value):
-                return None
-            # the regex admits only "0" or "1", an optional point and at
-            # most three digits, so the value is a whole number of thousandths
-            whole, _, digits = value.partition(".")
-            thousandths = int(whole + digits.ljust(3, "0"))
-            q = _Q_VALUES.get(thousandths)
-            if q is None:
-                q = _Q_VALUES[thousandths] = Fraction(thousandths, 1000)
-            break  # q ends the media range; later parameters are extensions
-    return MediaRange(type_, subtype, q)
-
-
-_ONE = Fraction(1)
-# exact q values by thousandths, made on first use (at most 1001 entries);
-# Fraction(str) costs several microseconds per call
-_Q_VALUES: dict = {}
+@cache  # at most 1001 entries; Fraction(str) costs several microseconds
+def _q_value(thousandths: int) -> Fraction:
+    return Fraction(thousandths, 1000)
 
 
 def quality(media_type: str, tree: AcceptTree) -> Fraction | None:
@@ -114,9 +101,7 @@ def quality(media_type: str, tree: AcceptTree) -> Fraction | None:
 def _header_of(obj) -> str | None:
     if isinstance(obj, Request):
         return obj.accept
-    if isinstance(obj, str):
-        return obj
-    return None
+    return obj if isinstance(obj, str) else None
 
 
 class AcceptSpecializer(Specializer):
@@ -180,24 +165,37 @@ class AcceptGenericFunction(GenericFunction):
                 if isinstance(s, AcceptSpecializer):
                     media_types.setdefault(s.media_type, len(media_types))
         self._media_index = media_types  # media type -> index into ranks
+        # (type, subtype) of a range -> (specificity, indexes of the media
+        # types it matches): 3 for the exact type, 2 for type/*, 1 for */*
+        matches = {}
+        for media_type, i in media_types.items():
+            type_, _, subtype = media_type.partition("/")
+            matches[type_, subtype] = (3, (i,))
+            for key, specificity in (((type_, "*"), 2), (("*", "*"), 1)):
+                matches[key] = (specificity, matches.get(key, (0, ()))[1] + (i,))
+        self._matches = matches
         self._generalizers = {}  # (ranks, next) -> the interned generalizer
         self._memo = {}  # (header, next) -> generalizer
 
     def generalizer_of(self, arg, position: int = 0):
-        next_generalizer = super().generalizer_of(arg, position)
+        # the default's probe, inlined, as in walker.py: every call runs this
+        next_generalizer = _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
         header = _header_of(arg)
         if header is None:
             return next_generalizer
         memo = self._memo
         g = memo.get((header, next_generalizer))
         if g is None:
-            tree = parse_accept_header(header)
-            # parsed q values are whole thousandths; as integers they hash
-            # and compare in a fraction of the time Fractions take
-            qs = []
-            for media_type in self._media_index:
-                q = quality(media_type, tree)
-                qs.append(q.numerator * 1000 // q.denominator if q else 0)
+            # each media type's q from its most specific range, the first of equals
+            matches = self._matches
+            qs = [0] * len(self._media_index)
+            specificities = qs[:]
+            for type_, subtype, q in _media_ranges(header):
+                specificity, indexes = matches.get((type_, subtype), (0, ()))
+                for i in indexes:
+                    if specificity > specificities[i]:
+                        specificities[i] = specificity
+                        qs[i] = q
             higher = sorted(set(qs), reverse=True)
             ranks = tuple(higher.index(q) + 1 if q else 0 for q in qs)
             g = self._generalizers.get((ranks, next_generalizer))

@@ -118,7 +118,11 @@ def _cmd_fact(n) -> int:
 
 
 def _cmd_negotiate(header: str, types) -> int:
-    selected = negotiate(header, types)
+    try:
+        selected = negotiate(header, types)
+    except ValueError as exc:  # a media type that is not concrete
+        print("gendispatch: %s" % exc, file=sys.stderr)
+        return 2
     if selected is None:
         print("406")
         return 1
@@ -127,6 +131,9 @@ def _cmd_negotiate(header: str, types) -> int:
 
 
 def _cmd_serve(port: int) -> int:
+    if not 0 <= port <= 65535:
+        print("gendispatch: port must be in 0..65535: %d" % port, file=sys.stderr)
+        return 2
     try:
         sock = open_server_socket(port)
     except OSError as exc:
@@ -143,6 +150,9 @@ def _cmd_serve(port: int) -> int:
 
 
 def _cmd_bench(scenario, runs, min_run_seconds) -> int:
+    if runs < 1:
+        print("gendispatch: --runs must be at least 1: %d" % runs, file=sys.stderr)
+        return 2
     scenarios = [scenario] if scenario else ["signum", "cons"]
     try:
         for i, name in enumerate(scenarios):

@@ -5,6 +5,7 @@ dispatching on the request's Accept header.  One request per connection.
 from __future__ import annotations
 
 import socket
+import time
 from dataclasses import dataclass
 
 from .model import Request
@@ -12,6 +13,7 @@ from .core import Method, NoApplicableMethod
 from .accept import AcceptGenericFunction, AcceptSpecializer
 
 MAX_HEADER_BYTES = 65536
+REQUEST_SECONDS = 5.0  # to send the whole request head, however it is dripped
 
 _REASONS = {200: "OK", 400: "Bad Request", 406: "Not Acceptable"}
 
@@ -113,10 +115,14 @@ def open_server_socket(port: int) -> socket.socket:
 
 
 def _read_request(conn: socket.socket) -> bytes:
-    conn.settimeout(5.0)
+    deadline = time.monotonic() + REQUEST_SECONDS
     chunks = b""
     while b"\r\n\r\n" not in chunks and len(chunks) < MAX_HEADER_BYTES:
-        data = conn.recv(4096)
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("request deadline passed")
+        conn.settimeout(remaining)
+        data = conn.recv(min(4096, MAX_HEADER_BYTES - len(chunks)))
         if not data:
             break
         chunks += data

@@ -4,6 +4,8 @@ configuration generator used by the equivalence and transparency suites."""
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 from gendispatch import (
     CLASSES,
@@ -201,3 +203,49 @@ def combination_outcome(gf, args):
         return gf.invoke(args)
     except DispatchError as exc:
         return (type(exc).__name__, str(exc))
+
+
+# -- the Accept parser before the one-pass rewrite, kept as an oracle
+
+_ORACLE_TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+$")
+_ORACLE_QVALUE_RE = re.compile(r"(0(\.\d{0,3})?|1(\.0{0,3})?)$")
+
+
+def oracle_media_ranges(header: str) -> list:
+    """(type, subtype, q as a Fraction) per element, parsed element by element
+    with strip/split/partition/lower as the library once did."""
+    ranges = []
+    for element in header.split(","):
+        parsed = _oracle_media_range(element.strip())
+        if parsed is not None:
+            ranges.append(parsed)
+    return ranges
+
+
+def _oracle_media_range(element: str):
+    if not element:
+        return None
+    parts = element.split(";")
+    range_part = parts[0].strip().lower()
+    if range_part.count("/") != 1:
+        return None
+    type_, _, subtype = range_part.partition("/")
+    type_ = type_.strip()
+    subtype = subtype.strip()
+    if type_ == "*" and subtype != "*":
+        return None
+    if type_ != "*" and not _ORACLE_TOKEN_RE.match(type_):
+        return None
+    if subtype != "*" and not _ORACLE_TOKEN_RE.match(subtype):
+        return None
+    q = Fraction(1)
+    for param in parts[1:]:
+        name, _, value = param.partition("=")
+        if name.strip().lower() == "q":
+            value = value.strip()
+            if not _ORACLE_QVALUE_RE.match(value):
+                return None
+            whole, _, digits = value.partition(".")
+            q = Fraction(int(whole + digits.ljust(3, "0")), 1000)
+            break
+    return (type_, subtype, q)

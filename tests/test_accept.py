@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,10 @@ from gendispatch import (
     parse_accept_header,
     quality,
 )
-from gendispatch.accept import MEMO_LIMIT
+from gendispatch.accept import MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges
 from gendispatch.httpd import make_responder, respond
 
-from conftest import invoke_outcome, random_config, random_header
+from conftest import invoke_outcome, oracle_media_ranges, random_config, random_header
 
 
 def ranges(header: str):
@@ -367,3 +368,120 @@ def test_all_refused_order_is_cached_and_raises_for_each_spelling() -> None:
             gf.accepts_calls = 0
     assert gf.accepts_calls == 0  # the second spelling hit the cached outcome
     assert len(gf._cache) == 1
+
+
+# every character str.strip removes, and some it keeps that look blank
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+NOT_WHITESPACE = ["\u200b", "\ufeff", "\u180e"]
+
+
+def assert_parses_like_the_oracle(header: str) -> None:
+    expected = oracle_media_ranges(header)
+    assert ranges(header) == expected, header
+    assert all(type(r.q) is Fraction for r in parse_accept_header(header).ranges)
+    assert _media_ranges(header) == [(t, s, int(q * 1000)) for t, s, q in expected], header
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "*/html", "*/*", "* / *", "*/ *x", "**/html", "*x/html", "a/b/c", " text / html ", "text/",
+        "/html", "texthtml", "te xt/html", "text/ht ml", "TEXT/HTML", "Text/*;Q=0.5",
+        "text/html;q=0.5;q=0.1", "text/html;level=1;q=0.5", "text/html;q=0.5;level=1",
+        "text/html;q=0.5;garbage=;;=", "text/html;level=1;q=abc", "text/html;q=0.5=1",
+        "text/html;q", "text/html;q;level=1", "text/html; q x=1", "text/html;qx=1",
+        "text/html;q=", "text/html;q=1.0001", "text/html;q=.5", "text/html; Q = 0.\u0665",
+        "text/html;q=0.\u0665\u0665\u0665", "text/html;q=1.\u0660", "text/\u212a", "\u212a/html",
+        "text/\u0130", "\u0130mage/png", "text/html;\u212a=1;q=0.2", "text/html;q=0.2;\u0130",
+        ",,text/html,,", "text/html;", "text/html ;", "text/html\n;q=0.5\n", "text/html;q=0.5\n",
+        'text/html;x="a,b";q=0.5', "text/html;x=\"a;q=0.1\";q=0.5", "",
+    ],
+)
+def test_one_pass_parser_agrees_with_the_oracle_on_edge_cases(header) -> None:
+    assert_parses_like_the_oracle(header)
+
+
+def test_one_pass_parser_agrees_with_the_oracle_on_every_blank() -> None:
+    for c in WHITESPACE + NOT_WHITESPACE:
+        assert_parses_like_the_oracle(c + "text" + c + "/" + c + "html" + c + ";" + c + "q" + c + "=" + c + "0.5" + c)
+        assert_parses_like_the_oracle("text/html;q=0.5" + c + ";level=1," + c + "*/*" + c)
+
+
+FUZZ_TYPES = ["text", "text", "application", "image", "*", "*", "**", "te xt", "", "a/b", 'x"y', "\u212aind", "\u0130mage"]
+FUZZ_SUBTYPES = ["html", "html", "plain", "xhtml+xml", "*", "*", "*x", "", "ht ml", "b/c", "\u212a", "\u0130", "\u0665"]
+FUZZ_PARAMS = [
+    "q=0.5", "q=1", "q=1.000", "q=0", "q=0.", "q=0.25", "q=0.\u0665", "q=1.001", "q=0.8888", "q=", "q",
+    "q=abc", "q=.5", "q=0.5=1", "q=-0", "level=1", "v=b3", "", "=", "qx=1", "q x=1", 'x="a', "\u212a=1",
+]
+
+
+def fuzz_case(rng: random.Random, text: str) -> str:
+    return "".join(c.upper() if rng.random() < 0.3 else c for c in text)
+
+
+def fuzz_blank(rng: random.Random) -> str:
+    if rng.random() < 0.6:
+        return ""
+    return "".join(rng.choice(WHITESPACE + NOT_WHITESPACE) for _ in range(rng.randint(1, 2)))
+
+
+def fuzz_element(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return ""
+    parts = [rng.choice(FUZZ_TYPES), "/", rng.choice(FUZZ_SUBTYPES)]
+    if rng.random() < 0.05:
+        parts = [rng.choice(FUZZ_TYPES)]  # no slash at all
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        name, eq, value = rng.choice(FUZZ_PARAMS).partition("=")
+        parts += [";", fuzz_blank(rng), name, fuzz_blank(rng), eq, fuzz_blank(rng), value]
+    return "".join(fuzz_blank(rng) + fuzz_case(rng, part) for part in parts) + fuzz_blank(rng)
+
+
+def test_one_pass_parser_agrees_with_the_oracle_on_fuzzed_headers() -> None:
+    rng = random.Random(2024)
+    parsed = qs = 0
+    for _ in range(4000):
+        header = ",".join(fuzz_element(rng) for _ in range(rng.randint(0, 4)))
+        assert_parses_like_the_oracle(header)
+        expected = oracle_media_ranges(header)
+        parsed += len(expected)
+        qs += sum(q not in (0, 1) for _, _, q in expected)
+    # the fuzz reaches both outcomes, and q values other than 0 and 1
+    assert parsed > 1000 and qs > 80
+
+
+FAMILIES = ["text/html", "text/plain", "text/csv", "application/xml", "application/json", "image/png", "video/mp4"]
+RANGES = FAMILIES + ["text/*", "application/*", "image/*", "*/*", "audio/ogg", "audio/*"]
+
+
+def oracle_ranks(header: str, media_types) -> tuple:
+    """Dense ranks from quality() over the oracle's parse: 0 for a refused
+    type, else 1 + the number of distinct higher qualities."""
+    tree = AcceptTree(tuple(MediaRange(*r) for r in oracle_media_ranges(header)))
+    qs = [quality(media_type, tree) or 0 for media_type in media_types]
+    positive = sorted({q for q in qs if q}, reverse=True)
+    return tuple(positive.index(q) + 1 if q else 0 for q in qs)
+
+
+def test_match_table_ranks_equal_dense_ranks_from_quality() -> None:
+    rng = random.Random(8)
+    for _ in range(200):
+        media_types = rng.sample(FAMILIES, rng.randint(1, 5))
+        gf = make_negotiator(media_types)
+        extra = rng.choice([t for t in FAMILIES if t not in media_types] or [None])
+        headers = []
+        for _ in range(8):
+            elements = []
+            for _ in range(rng.randint(0, 6)):
+                element = fuzz_case(rng, rng.choice(RANGES))
+                if rng.random() < 0.8:
+                    element += ";q=%s" % rng.choice(["0", "0.3", "0.5", "0.50", "0.8", "1", "0.%03d" % rng.randint(0, 999)])
+                elements.append(element)
+            headers.append(", ".join(elements))
+        for header in headers + headers:  # the second pass answers from the memo
+            assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types), header
+        if extra is not None:
+            # adding a method rebuilds the table: the same headers rank the new type too
+            gf.add_method(Method([AcceptSpecializer(extra)], lambda args, _next: extra))
+            for header in headers:
+                assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types + [extra]), header

@@ -210,3 +210,21 @@ def test_serve_refuses_a_taken_port(capsys) -> None:
 def test_serve_requires_a_port(capsys) -> None:
     assert main(["serve"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["negotiate", "text/html", "text/*"], "media type must be concrete: 'text/*'"),
+        (["negotiate", "text/html", "text/html", "texthtml"], "media type must be concrete: 'texthtml'"),
+        (["serve", "--port", "70000"], "port must be in 0..65535: 70000"),
+        (["serve", "--port", "-1"], "port must be in 0..65535: -1"),
+        (["bench", "--runs", "0"], "--runs must be at least 1: 0"),
+        (["bench", "--runs", "-3"], "--runs must be at least 1: -3"),
+    ],
+)
+def test_out_of_range_operands_are_one_line_usage_errors(argv, message, capsys) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gendispatch: %s\n" % message

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from gendispatch import (
     parse_http_request,
     respond,
 )
+from gendispatch import httpd
 from gendispatch.httpd import format_response, open_server_socket, serve_forever
 
 
@@ -149,6 +151,49 @@ def test_server_over_a_real_socket() -> None:
         out = fetch(port, b"not http at all\r\n\r\n")
         assert out.startswith(b"HTTP/1.1 400 Bad Request\r\n")
     finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "drip_bytes",
+    # one byte every 0.2 s, never a whole head: about 13 s in all, far longer
+    # than any single recv waits; or an idle client that sends nothing
+    [b"GET / HTTP/1.1\r\nX-Slow: " + b"x" * 40, b""],
+    ids=["dripping", "idle"],
+)
+def test_a_slow_client_holds_the_server_only_until_its_deadline(drip_bytes, monkeypatch) -> None:
+    monkeypatch.setattr(httpd, "REQUEST_SECONDS", 1.0)
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, None, 2), daemon=True)
+    thread.start()
+    stop = threading.Event()
+    dripper = socket.create_connection(("127.0.0.1", port), timeout=5)
+
+    def drip():
+        for byte in drip_bytes:
+            if stop.wait(0.2):
+                return
+            try:
+                dripper.send(bytes([byte]))
+            except OSError:
+                return
+
+    drip_thread = threading.Thread(target=drip, daemon=True)
+    drip_thread.start()
+    try:
+        time.sleep(0.3)  # the server is reading the slow client
+        start = time.monotonic()
+        out = fetch(port, request_bytes("text/plain"))
+        elapsed = time.monotonic() - start
+        assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert elapsed < 2.0
+    finally:
+        stop.set()
+        drip_thread.join(timeout=5)
+        dripper.close()
         thread.join(timeout=5)
         sock.close()
     assert not thread.is_alive()
