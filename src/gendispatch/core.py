@@ -15,6 +15,7 @@ caching, is shared.
 
 from __future__ import annotations
 
+import weakref
 from functools import cmp_to_key
 
 from .model import _EXACT_CLASS_OF, CLASSES, ClassRef, class_of, eql, format_value, subclass_p
@@ -432,7 +433,7 @@ class GenericFunction:
             if methods:
                 entry = self.compute_effective_method(methods).entry
             else:
-                entry = (_no_applicable_method, self)
+                entry = (_no_applicable_method, weakref.proxy(self))
             if key is not None:
                 if len(self._cache) >= CACHE_LIMIT:
                     self._cache.clear()
@@ -454,5 +455,5 @@ def _bind(body, next_call):
 
 
 def _no_applicable_method(args, gf):
-    # the cache entry of an empty outcome: its next_call is the function
+    # an empty outcome's cache entry; next_call is a weak proxy: no gf-entry cycle
     raise NoApplicableMethod(gf, args)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -441,3 +443,25 @@ def test_effective_method_exposes_its_methods() -> None:
     m2 = gf.add_method(Method([cls_spec("number")], chained("b", [])))
     effective = gf.compute_effective_method(gf.compute_applicable_methods((1,)))
     assert effective.methods == (m1, m2)
+
+
+def test_a_cached_empty_outcome_does_not_keep_its_function_alive() -> None:
+    # the entry that raises for an empty outcome refers back to its function;
+    # were that a strong reference, the function would be cyclic garbage that
+    # only a full collection frees, with its whole cache
+    gf = GenericFunction("f", 1)
+    gf.add_method(Method([ClassSpecializer(CLASSES["integer"])], lambda args, _next: "integer"))
+    for _ in range(2):  # a miss stores the empty outcome, then a hit raises from it
+        try:
+            gf("not an integer")
+        except NoApplicableMethod as exc:
+            assert str(exc) == 'no applicable method for f on ("not an integer")'
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(gf)
+        del gf
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
