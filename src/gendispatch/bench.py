@@ -1,6 +1,8 @@
 """Dispatch cost measurements: each scenario compares a plain function, a
 class-dispatched generic function, and the extension-dispatched generic
-function with three cache arrangements.
+function with three cache arrangements.  The cons scenario's rows all run
+the walker's own walk_*_form bodies, so they differ only in how each form
+reaches its body.
 
 Protocol: calibrate an iteration count well above the clock resolution, run
 once to warm caches (discarded), then time 20 runs and report the mean of the
@@ -22,6 +24,7 @@ from .signum import make_fact
 from .walker import (
     Environment,
     Walker,
+    walk_atom_form,
     walk_call_form,
     walk_lambda_form,
     walk_let_form,
@@ -137,57 +140,43 @@ _LET = intern("let")
 
 def monolithic_check(form):
     """The walker as one recursive function with a type-and-head branch."""
-    out = []
 
-    def walk(expr, env, stack):
+    def walk(*args):
+        expr = args[0]
         if isinstance(expr, Cons):
             if expr.car is _LAMBDA:
-                walk_lambda_form(expr, env, stack, walk, out)
+                walk_lambda_form(args, None)
             elif expr.car is _LET:
-                walk_let_form(expr, env, stack, walk, out)
+                walk_let_form(args, None)
             else:
-                walk_call_form(expr, env, stack, walk, out)
+                walk_call_form(args, None)
         elif isinstance(expr, Symbol):
-            walk_symbol_form(expr, env, stack, out)
+            walk_symbol_form(args, None)
 
-    walk(form, Environment(), (form,))
-    return out
+    env = Environment(walk)
+    walk(form, env, (form,))
+    return env.out
 
 
-class StandardWalker:
-    """The walker as a class-dispatched generic function; special forms are
-    told apart inside the cons method."""
+def _walk_cons(args, _next):
+    car = args[0].car
+    if car is _LAMBDA:
+        walk_lambda_form(args, _next)
+    elif car is _LET:
+        walk_let_form(args, _next)
+    else:
+        walk_call_form(args, _next)
+
+
+class StandardWalker(Walker):
+    """The walker as a class-dispatched generic function with the walker's
+    own form bodies; special forms are told apart inside the cons method."""
 
     def __init__(self, cache: str = "auto"):
-        self.out = []
-        gf = GenericFunction("walk", 3, cache=cache)
-        walk = gf
-
-        def do_symbol(args, _next):
-            expr, env, stack = args
-            walk_symbol_form(expr, env, stack, self.out)
-
-        def do_cons(args, _next):
-            expr, env, stack = args
-            if expr.car is _LAMBDA:
-                walk_lambda_form(expr, env, stack, walk, self.out)
-            elif expr.car is _LET:
-                walk_let_form(expr, env, stack, walk, self.out)
-            else:
-                walk_call_form(expr, env, stack, walk, self.out)
-
-        def do_atom(args, _next):
-            pass
-
-        gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], do_symbol))
-        gf.add_method(Method([ClassSpecializer(CLASSES["cons"]), ANY, ANY], do_cons))
-        gf.add_method(Method([ClassSpecializer(CLASSES["t"]), ANY, ANY], do_atom))
-        self.gf = gf
-
-    def check_form(self, form):
-        self.out = []
-        self.gf(form, Environment(), (form,))
-        return self.out
+        self.gf = GenericFunction("walk", 3, cache=cache)
+        self.gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], walk_symbol_form))
+        self.gf.add_method(Method([ClassSpecializer(CLASSES["cons"]), ANY, ANY], _walk_cons))
+        self.gf.add_method(Method([ANY, ANY, ANY], walk_atom_form))
 
 
 def bench_cons(runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS) -> list[BenchResult]:

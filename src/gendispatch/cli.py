@@ -153,6 +153,10 @@ def _cmd_bench(scenario, runs, min_run_seconds) -> int:
     if runs < 1:
         print("gendispatch: --runs must be at least 1: %d" % runs, file=sys.stderr)
         return 2
+    if not 0 <= min_run_seconds < math.inf:
+        message = "--min-run-time must be finite and at least 0: %s" % min_run_seconds
+        print("gendispatch: " + message, file=sys.stderr)
+        return 2
     scenarios = [scenario] if scenario else ["signum", "cons"]
     try:
         for i, name in enumerate(scenarios):

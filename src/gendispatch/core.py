@@ -409,17 +409,23 @@ class GenericFunction:
             gens[i] = g
             return self._dispatch(args, gens, g)
         positions = self._dispatch_positions
-        gens = [None] * self.nargs
-        for i in positions:
-            gens[i] = self.generalizer_of(args[i], i)
         if self.cache_mode == "none":
-            key = None
-        else:
-            key = tuple([gens[i] for i in positions])
-            entry = self._cache.get(key)
-            if entry is not None:
-                body, next_call = entry
-                return body(args, next_call)
+            gens = [None] * self.nargs
+            for i in positions:
+                gens[i] = self.generalizer_of(args[i], i)
+            return self._dispatch(args, gens, None)
+        # the key comes straight from the generalizers, the list only on a miss; a
+        # comprehension here would make self and args cells, slowing every call
+        key = ()
+        for i in positions:
+            key += (self.generalizer_of(args[i], i),)
+        entry = self._cache.get(key)
+        if entry is not None:
+            body, next_call = entry
+            return body(args, next_call)
+        gens = [None] * self.nargs
+        for i, g in zip(positions, key):
+            gens[i] = g
         return self._dispatch(args, gens, key)
 
     def invoke(self, args):

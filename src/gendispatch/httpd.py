@@ -108,9 +108,13 @@ def handle_raw(raw: bytes, responder=None) -> bytes:
 
 def open_server_socket(port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(("", port))
-    sock.listen(16)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(("", port))
+        sock.listen(16)
+    except OSError:
+        sock.close()
+        raise
     return sock
 
 

@@ -54,11 +54,16 @@ class Cons:
         self.cdr = cdr
 
     def __eq__(self, other):
-        # structural equality, used by tests and the reader round-trip;
-        # dispatch identity (eql) is a separate, stricter notion
+        # structural, eql at the leaves, looping down the cdr chain (dispatch uses eql)
         if not isinstance(other, Cons):
             return NotImplemented
-        return values_equal(self.car, other.car) and values_equal(self.cdr, other.cdr)
+        a, b = self, other
+        while isinstance(a, Cons) and isinstance(b, Cons):
+            x, y = a.car, b.car
+            if not (x == y if isinstance(x, Cons) and isinstance(y, Cons) else eql(x, y)):
+                return False
+            a, b = a.cdr, b.cdr
+        return eql(a, b)
 
     __hash__ = None
 
@@ -97,13 +102,6 @@ def eql(a, b) -> bool:
     if isinstance(a, str) and isinstance(b, str):
         return a == b
     return False
-
-
-def values_equal(a, b) -> bool:
-    """Structural equality over the value universe (eql plus recursive conses)."""
-    if isinstance(a, Cons) and isinstance(b, Cons):
-        return a == b
-    return eql(a, b)
 
 
 class ClassGraphError(Exception):
@@ -276,8 +274,8 @@ class Request:
         return "#<request %s %s>" % (self.method, self.path)
 
 
-# exact-type shortcuts for the values dispatch sees constantly; Nil and
-# Instance are resolved by the fallback chain
+# the class of each host type in the value universe; NIL and Instance are
+# resolved before it is consulted
 _EXACT_CLASS_OF = {
     int: _C_INTEGER,
     float: _C_FLOAT,
@@ -292,28 +290,15 @@ _EXACT_CLASS_OF = {
 def class_of(value) -> ClassRef:
     """Most specific class of a runtime value.  Total: host objects that are
     not part of the value universe fall back to class t."""
-    cls = _EXACT_CLASS_OF.get(value.__class__)
-    if cls is not None:
-        return cls
-    # subclassed or special-cased values
     if isinstance(value, Instance):
         return value.class_ref
     if value is NIL:
         return _C_NULL
-    if isinstance(value, Symbol):
-        return _C_SYMBOL
-    if isinstance(value, Cons):
-        return _C_CONS
-    if isinstance(value, bool):
-        return _C_T
-    if isinstance(value, int):
-        return _C_INTEGER
-    if isinstance(value, float):
-        return _C_FLOAT
-    if isinstance(value, str):
-        return _C_STRING
-    if isinstance(value, Request):
-        return _C_REQUEST
+    # the nearest type in the table, so subclasses classify like their base
+    for t in value.__class__.__mro__:
+        cls = _EXACT_CLASS_OF.get(t)
+        if cls is not None:
+            return cls
     return _C_T
 
 

@@ -1,9 +1,14 @@
 """Dispatch on the head symbol of a compound form, and a code walker built
 on it that reports unused bindings and unbound variable references.
 
-The walker recurses through three frames per nesting level: the walk
-function, a method body and one walk_*_form function, in whose frame a
-lambda or let scope is opened and closed.
+A walk keeps all its state in the Environment passed along with each form,
+so walks are independent, even one started from inside another's method.
+The walk_*_form functions are the walk function's method bodies: each takes
+the arguments (form, environment, context), the context being the form and
+the forms enclosing it, and an unused next-method call.  So the walker
+recurses through two frames per nesting level: the walk function and one
+walk_*_form function, in whose frame a lambda or let scope is opened and
+closed.
 """
 
 from __future__ import annotations
@@ -103,11 +108,15 @@ class Diagnostic:
 
 
 class Environment:
-    """Lexical frames, each mapping the names it binds to whether they were
-    used; the innermost frame is consulted first."""
+    """One walk's state: its lexical frames, each mapping the names it binds
+    to whether they were used (the innermost frame is consulted first), the
+    diagnostics reported so far, and `walk`, the function each subform is
+    walked with."""
 
-    def __init__(self):
+    def __init__(self, walk):
         self.frames: list[dict] = []
+        self.out: list[Diagnostic] = []
+        self.walk = walk
 
     def lookup(self, name: Symbol) -> dict | None:
         """The innermost frame binding `name`, or None."""
@@ -117,20 +126,20 @@ class Environment:
         return None
 
 
-def _close_scope(env: Environment, out: list, stack, anchor: int):
+def _close_scope(env: Environment, stack, anchor: int):
     """Unbind the innermost frame and report its names never used.  Reports
     are inserted at `anchor`, so that a scope's own diagnostics precede those
     from inside its body.  The body loop stays in the caller: a helper owning
     it would add a frame per nesting level."""
     frame = env.frames.pop()
-    out[anchor:anchor] = [
+    env.out[anchor:anchor] = [
         Diagnostic(UNUSED_BINDING, name, tuple(stack)) for name, used in frame.items() if not used
     ]
 
 
-def _malformed(expr, stack, out):
+def _malformed(expr, env: Environment, stack):
     head = expr.car if isinstance(expr, Cons) and isinstance(expr.car, Symbol) else intern("?")
-    out.append(Diagnostic(MALFORMED_FORM, head, tuple(stack)))
+    env.out.append(Diagnostic(MALFORMED_FORM, head, tuple(stack)))
 
 
 def _proper_elements(expr):
@@ -142,34 +151,37 @@ def _proper_elements(expr):
     return parts if expr is NIL else None
 
 
-def walk_lambda_form(expr, env, stack, walk, out):
+def walk_lambda_form(args, _next):
     # (lambda (param...) body...)
+    expr, env, stack = args
     parts = _proper_elements(expr)
     if parts is None or len(parts) < 2:
-        _malformed(expr, stack, out)
+        _malformed(expr, env, stack)
         return
     params = _proper_elements(parts[1])
     if params is None or not all(isinstance(p, Symbol) and p is not NIL for p in params):
-        _malformed(expr, stack, out)
+        _malformed(expr, env, stack)
         return
-    anchor = len(out)
+    walk = env.walk
+    anchor = len(env.out)
     env.frames.append(dict.fromkeys(params, False))
     try:
         for form in parts[2:]:
             walk(form, env, (form,) + tuple(stack))
     finally:
-        _close_scope(env, out, stack, anchor)
+        _close_scope(env, stack, anchor)
 
 
-def walk_let_form(expr, env, stack, walk, out):
+def walk_let_form(args, _next):
     # (let ((name init)...) body...); inits are walked in the outer scope
+    expr, env, stack = args
     parts = _proper_elements(expr)
     if parts is None or len(parts) < 2:
-        _malformed(expr, stack, out)
+        _malformed(expr, env, stack)
         return
     bindings = _proper_elements(parts[1])
     if bindings is None:
-        _malformed(expr, stack, out)
+        _malformed(expr, env, stack)
         return
     names = []
     inits = []
@@ -181,11 +193,12 @@ def walk_let_form(expr, env, stack, walk, out):
             or not isinstance(entry[0], Symbol)
             or entry[0] is NIL
         ):
-            _malformed(expr, stack, out)
+            _malformed(expr, env, stack)
             return
         names.append(entry[0])
         inits.append(entry[1])
-    anchor = len(out)
+    walk = env.walk
+    anchor = len(env.out)
     for init in inits:
         walk(init, env, (init,) + tuple(stack))
     env.frames.append(dict.fromkeys(names, False))
@@ -193,10 +206,11 @@ def walk_let_form(expr, env, stack, walk, out):
         for form in parts[2:]:
             walk(form, env, (form,) + tuple(stack))
     finally:
-        _close_scope(env, out, stack, anchor)
+        _close_scope(env, stack, anchor)
 
 
-def walk_symbol_form(expr, env, stack, out):
+def walk_symbol_form(args, _next):
+    expr, env, stack = args
     if expr is NIL:
         # the empty list is self-evaluating, not a variable reference
         return
@@ -204,59 +218,43 @@ def walk_symbol_form(expr, env, stack, out):
     if frame is not None:
         frame[expr] = True
     else:
-        out.append(Diagnostic(UNBOUND_VARIABLE, expr, tuple(stack)))
+        env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, tuple(stack)))
 
 
-def walk_call_form(expr, env, stack, walk, out):
+def walk_call_form(args, _next):
     # a symbol head names a function and is not a variable reference; any
     # other head is itself a form to walk
+    expr, env, stack = args
     parts = _proper_elements(expr)
     if parts is None:
-        _malformed(expr, stack, out)
+        _malformed(expr, env, stack)
         return
+    walk = env.walk
     forms = parts[1:] if isinstance(parts[0], Symbol) else parts
     for form in forms:
         walk(form, env, (form,) + tuple(stack))
+
+
+def walk_atom_form(args, _next):
+    pass  # numbers, strings and other atoms bind and reference nothing
 
 
 class Walker:
     """A binding-checking code walker dispatching on form heads."""
 
     def __init__(self, cache: str = "auto"):
-        self.out: list[Diagnostic] = []
-        gf = ConsGenericFunction("walk", 3, cache=cache)
-        walk = gf
-
-        def do_lambda(args, _next):
-            expr, env, stack = args
-            walk_lambda_form(expr, env, stack, walk, self.out)
-
-        def do_let(args, _next):
-            expr, env, stack = args
-            walk_let_form(expr, env, stack, walk, self.out)
-
-        def do_symbol(args, _next):
-            expr, env, stack = args
-            walk_symbol_form(expr, env, stack, self.out)
-
-        def do_call(args, _next):
-            expr, env, stack = args
-            walk_call_form(expr, env, stack, walk, self.out)
-
-        def do_atom(args, _next):
-            pass
-
-        gf.add_method(Method([ConsSpecializer(_LAMBDA), ANY, ANY], do_lambda))
-        gf.add_method(Method([ConsSpecializer(_LET), ANY, ANY], do_let))
-        gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], do_symbol))
-        gf.add_method(Method([ClassSpecializer(_CONS_CLASS), ANY, ANY], do_call))
-        gf.add_method(Method([ClassSpecializer(CLASSES["t"]), ANY, ANY], do_atom))
-        self.gf = gf
+        gf = self.gf = ConsGenericFunction("walk", 3, cache=cache)
+        # the bodies are read here, so wrappers installed over them beforehand are called
+        gf.add_method(Method([ConsSpecializer(_LAMBDA), ANY, ANY], walk_lambda_form))
+        gf.add_method(Method([ConsSpecializer(_LET), ANY, ANY], walk_let_form))
+        gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], walk_symbol_form))
+        gf.add_method(Method([ClassSpecializer(_CONS_CLASS), ANY, ANY], walk_call_form))
+        gf.add_method(Method([ANY, ANY, ANY], walk_atom_form))
 
     def check_form(self, form) -> list[Diagnostic]:
-        self.out = []
-        self.gf(form, Environment(), (form,))
-        return self.out
+        env = Environment(self.gf)
+        self.gf(form, env, (form,))
+        return env.out
 
     def check_source(self, text: str) -> list[Diagnostic]:
         return self.check_form(read_sexpr(text))

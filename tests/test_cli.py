@@ -137,6 +137,24 @@ def test_walk_240_deep_binding_scopes_fit_the_recursion_limit(scope, tmp_path) -
     assert result.stdout == "unused-binding x\n" * 239
 
 
+@pytest.mark.parametrize(
+    "form, stdout",
+    [
+        ("(f ", "unbound-variable x\n"),
+        ("(lambda (x) ", "unused-binding x\n" * 319),
+        ("(let ((x 1)) ", "unused-binding x\n" * 319),
+    ],
+    ids=["call", "lambda", "let"],
+)
+def test_walk_320_deep_forms_fit_the_recursion_limit(form, stdout, tmp_path) -> None:
+    # two frames per nesting level: the walk function and the form's body
+    path = tmp_path / "deep.sexp"
+    path.write_text(form * 320 + "x" + ")" * 320)
+    result = run_cli("walk", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout
+
+
 def test_walk_integer_literal_too_long_is_a_one_line_error(tmp_path) -> None:
     path = tmp_path / "long.sexp"
     path.write_text("(f %s)" % ("1" * 5000))
@@ -221,6 +239,9 @@ def test_serve_requires_a_port(capsys) -> None:
         (["serve", "--port", "-1"], "port must be in 0..65535: -1"),
         (["bench", "--runs", "0"], "--runs must be at least 1: 0"),
         (["bench", "--runs", "-3"], "--runs must be at least 1: -3"),
+        (["bench", "--min-run-time", "inf"], "--min-run-time must be finite and at least 0: inf"),
+        (["bench", "--min-run-time", "nan"], "--min-run-time must be finite and at least 0: nan"),
+        (["bench", "--min-run-time", "-0.5"], "--min-run-time must be finite and at least 0: -0.5"),
     ],
 )
 def test_out_of_range_operands_are_one_line_usage_errors(argv, message, capsys) -> None:

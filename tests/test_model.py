@@ -51,6 +51,10 @@ def test_class_of_builtin_values() -> None:
         (NIL, "null"),
         (Cons(1, NIL), "cons"),
         (Request("GET", "/"), "request"),
+        # a subclass of a known type is classed by its nearest known base
+        (type("Text", (str,), {})("hi"), "string"),
+        (type("Real", (float,), {})(2.5), "float"),
+        (type("Get", (Request,), {})("GET", "/"), "request"),
     ]
     for value, expected in cases:
         assert class_of(value).name == expected
@@ -179,3 +183,19 @@ def test_format_value_and_lists() -> None:
     assert list(iter_list(cons_list(1, 2, 3))) == [1, 2, 3]
     with pytest.raises(ValueError):
         list(iter_list(Cons(1, 2)))
+
+
+def test_cons_equality_is_structural_with_eql_leaves() -> None:
+    assert cons_list(1, cons_list("a", intern("b")), 2.5) == cons_list(1, cons_list("a", intern("b")), 2.5)
+    assert cons_list(1) != cons_list(1.0)  # 1 and 1.0 are not eql
+    assert cons_list(1, 2) != cons_list(1, 2, 3)
+    assert Cons(1, 2) == Cons(1, 2)
+    assert Cons(1, 2) != Cons(1, 3)
+    assert cons_list(cons_list(1)) != cons_list(1)
+    assert (Cons(1, NIL) == 1) is False
+
+
+def test_long_lists_compare_without_recursion() -> None:
+    n = 50_000
+    assert cons_list(*range(n)) == cons_list(*range(n))
+    assert cons_list(*range(n)) != cons_list(*range(n - 1), -1)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from gendispatch import (
+    ANY,
     CLASSES,
     NIL,
     ClassGeneralizer,
@@ -115,7 +116,7 @@ def test_diagnostic_string_and_context() -> None:
 def test_walk_gf_selection_order_for_a_let_form() -> None:
     walker = Walker()
     form = read_sexpr("(let ((x 1)) x)")
-    methods = walker.gf.compute_applicable_methods((form, Environment(), (form,)))
+    methods = walker.gf.compute_applicable_methods((form, Environment(walker.gf), (form,)))
     kinds = [type(m.specializers[0]).__name__ for m in methods]
     assert kinds == ["ConsSpecializer", "ClassSpecializer", "ClassSpecializer"]
     assert methods[0].specializers[0].car is intern("let")
@@ -218,6 +219,21 @@ def test_diagnostics_are_fresh_per_check() -> None:
     second = walker.check_source("(let ((x 1)) x)")
     assert len(first) == 2
     assert second == []
+
+
+def test_a_walk_started_inside_a_walker_method_keeps_both_results_apart() -> None:
+    # a (quote form) method checks its form as a walk of its own; the outer
+    # walk's diagnostics must neither leak into it nor be lost
+    walker = Walker()
+    inner = []
+
+    def check_quoted(args, _next):
+        inner.append(diagnostic_pairs(walker.check_form(args[0].cdr.car)))
+
+    walker.gf.add_method(Method([ConsSpecializer(intern("quote")), ANY, ANY], check_quoted))
+    outer = walker.check_source("(lambda (x) (quote (let ((z 1)) w)) y)")
+    assert diagnostic_pairs(outer) == [("unused-binding", "x"), ("unbound-variable", "y")]
+    assert inner == [[("unused-binding", "z"), ("unbound-variable", "w")]]
 
 
 def _bound_names(scope):
