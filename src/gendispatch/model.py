@@ -54,16 +54,18 @@ class Cons:
         self.cdr = cdr
 
     def __eq__(self, other):
-        # structural, eql at the leaves, looping down the cdr chain (dispatch uses eql)
+        # structural, eql at the leaves (dispatch uses eql), with no recursion
         if not isinstance(other, Cons):
             return NotImplemented
-        a, b = self, other
-        while isinstance(a, Cons) and isinstance(b, Cons):
-            x, y = a.car, b.car
-            if not (x == y if isinstance(x, Cons) and isinstance(y, Cons) else eql(x, y)):
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            while isinstance(a, Cons) and isinstance(b, Cons):
+                pairs.append((a.cdr, b.cdr))
+                a, b = a.car, b.car
+            if not eql(a, b):
                 return False
-            a, b = a.cdr, b.cdr
-        return eql(a, b)
+        return True
 
     __hash__ = None
 
@@ -304,25 +306,30 @@ def class_of(value) -> ClassRef:
 
 def format_value(value) -> str:
     """Print a value in reader syntax where one exists."""
+    parts = []
+    rests = []  # the unprinted rest of each enclosing list, innermost last
+    while True:
+        while isinstance(value, Cons):
+            parts.append("(")
+            rests.append(value.cdr)
+            value = value.car
+        parts.append(_format_atom(value))
+        while rests and not isinstance(rests[-1], Cons):
+            tail = rests.pop()
+            parts.append(")" if tail is NIL else " . %s)" % _format_atom(tail))
+        if not rests:
+            return "".join(parts)
+        value, rests[-1] = rests[-1].car, rests[-1].cdr
+        parts.append(" ")
+
+
+def _format_atom(value) -> str:
     if value is NIL:
         return "()"
     if isinstance(value, Symbol):
         return value.name
-    if isinstance(value, bool):
-        return repr(value)
-    if isinstance(value, (int, float)):
-        return repr(value)
     if isinstance(value, str):
         return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
-    if isinstance(value, Cons):
-        parts = []
-        while isinstance(value, Cons):
-            parts.append(format_value(value.car))
-            value = value.cdr
-        if value is not NIL:
-            parts.append(".")
-            parts.append(format_value(value))
-        return "(" + " ".join(parts) + ")"
     if isinstance(value, Instance):
         return "#<%s>" % value.class_ref.name
-    return repr(value)
+    return repr(value)  # numbers, booleans and host objects

@@ -1,34 +1,27 @@
 """A small s-expression reader: symbols, integers, floats, strings, proper lists.
 
-One compiled regex splits the text into tokens, and `m.lastindex` names each
-token's kind.  Lists are built on an explicit stack, so nesting depth is
-bounded by memory, not by the recursion limit.  `\\s` and `str.isspace` agree
-on every code point, and `\\d` accepts every Unicode decimal digit, which
-`int` and `float` read.
+One `findall` of a compiled regex splits the text into plain-string tokens: a
+paren, a string (an unterminated one is its opening quote alone) or a run of
+other non-space characters.  A letter starts a symbol and a quote a string;
+any other atom goes through one number regex.  Lists are built on an explicit
+stack, so nesting depth is bounded by memory, not by the recursion limit.  The
+loop keeps token indexes, and only an error scans the text again to turn one
+into a character position.  `\\s` and `str.isspace` agree on every code point,
+and `\\d` accepts every Unicode decimal digit, which `int` and `float` read.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
-from .model import NIL, Cons, intern
+from .model import NIL, Cons, _symbols, intern
 
-# One group per token kind.  A token ends where whitespace, a paren or a
-# quote begins.  Symbols come first, split in two groups: a token that cannot
-# start a number is matched at once, and one that starts like a number but is
-# none (`+`, `1+`, `1e3e4`) falls through to the last group.
-_END = r'(?![^\s()"])'
-_TOKENS = re.compile(
-    r'\s*(?:([^\s()"\d+.-][^\s()"]*)|(\()|(\))'
-    r'|("[^"\\]*(?:\\.[^"\\]*)*("?))'
-    r"|([+-]?\d+)" + _END
-    + r"|([+-]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+))" + _END
-    + r'|([^\s()"]+))',
-    re.DOTALL,
-)
-_SYMBOL, _OPEN, _CLOSE, _STRING, _STRING_END, _INT, _FLOAT = range(1, 8)
+_TOKENS = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|[^\s()"]+', re.DOTALL)
+# the group takes part only for an integer; an atom that is no number and
+# starts with neither a letter nor a quote (`+`, `1e3e4`, `*x*`) is a symbol
+_NUMBER = re.compile(r"[+-]?(?:(\d+)|(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
-_NON_SPACE = re.compile(r"\S")
 
 
 class ParseError(ValueError):
@@ -37,54 +30,59 @@ class ParseError(ValueError):
         super().__init__("%s (at position %d)" % (message, position))
 
 
+def _error(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at the start of token `index` of `text`."""
+    return ParseError(message, next(islice(_TOKENS.finditer(text), index, None)).start())
+
+
 def read_sexpr(text: str):
     """Parse exactly one expression from `text`."""
-    opens = []  # positions of the unclosed "(", innermost last
+    tokens = _TOKENS.findall(text)
+    opens = []  # token indexes of the unclosed "(", innermost last
     outer = []  # items of the enclosing unclosed lists, innermost last
     items = []
-    # with trailing whitespace cut off, a token follows every run of it, so
-    # the leading \s* of the token regex never has to backtrack
-    for m in _TOKENS.finditer(text, 0, len(text.rstrip())):
-        kind = m.lastindex
-        if kind == _SYMBOL:
-            value = intern(m.group(kind))
-        elif kind == _OPEN:
-            opens.append(m.start(kind))
+    for index, token in enumerate(tokens):
+        if token == "(":
+            opens.append(index)
             outer.append(items)
             items = []
             continue
-        elif kind == _CLOSE:
+        if token == ")":
             if not opens:
-                raise ParseError("unbalanced close paren", m.start(kind))
+                raise _error("unbalanced close paren", text, index)
             value = NIL
             for item in reversed(items):
                 value = Cons(item, value)
             opens.pop()
             items = outer.pop()
-        elif kind == _STRING:
-            if not m.group(_STRING_END):
-                raise ParseError("unterminated string opened", m.start(kind))
-            value = m.group(kind)[1:-1]
+        elif token[0].isalpha():
+            # a letter starts no number, so the token is a symbol
+            value = _symbols.get(token) or intern(token)
+        elif token[0] == '"':
+            if token == '"':
+                raise _error("unterminated string opened", text, index)
+            value = token[1:-1]
             if "\\" in value:
                 value = _ESCAPE.sub(r"\1", value)
-        elif kind == _INT:
-            try:
-                value = int(m.group(kind))
-            except ValueError:
-                # past sys.get_int_max_str_digits(); float() has no such limit
-                raise ParseError("integer literal too long", m.start(kind)) from None
-        elif kind == _FLOAT:
-            value = float(m.group(kind))
         else:
-            value = intern(m.group(kind))
+            m = _NUMBER.fullmatch(token)
+            if m is None:
+                value = intern(token)
+            elif m.lastindex:
+                try:
+                    value = int(token)
+                except ValueError:
+                    # past sys.get_int_max_str_digits(); float() has no such limit
+                    raise _error("integer literal too long", text, index) from None
+            else:
+                value = float(token)
         if not opens:
             break
         items.append(value)
     else:
         if opens:
-            raise ParseError("unterminated list opened", opens[-1])
+            raise _error("unterminated list opened", text, opens[-1])
         raise ParseError("empty input", len(text))
-    garbage = _NON_SPACE.search(text, m.end())
-    if garbage:
-        raise ParseError("trailing garbage after expression", garbage.start())
+    if index + 1 < len(tokens):
+        raise _error("trailing garbage after expression", text, index + 1)
     return value

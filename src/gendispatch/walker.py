@@ -4,10 +4,10 @@ on it that reports unused bindings and unbound variable references.
 A walk keeps all its state in the Environment passed along with each form,
 so walks are independent, even one started from inside another's method.
 The walk_*_form functions are the walk function's method bodies: each takes
-the arguments (form, environment, context), the context being the form and
-the forms enclosing it, and an unused next-method call.  So the walker
-recurses through two frames per nesting level: the walk function and one
-walk_*_form function, in whose frame a lambda or let scope is opened and
+the arguments (form, environment, context), the context being the tuple of
+the form and the forms enclosing it, and an unused next-method call.  So the
+walker recurses through two frames per nesting level: the walk function and
+one walk_*_form function, in whose frame a lambda or let scope is opened and
 closed.
 """
 
@@ -118,13 +118,6 @@ class Environment:
         self.out: list[Diagnostic] = []
         self.walk = walk
 
-    def lookup(self, name: Symbol) -> dict | None:
-        """The innermost frame binding `name`, or None."""
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame
-        return None
-
 
 def _close_scope(env: Environment, stack, anchor: int):
     """Unbind the innermost frame and report its names never used.  Reports
@@ -133,13 +126,13 @@ def _close_scope(env: Environment, stack, anchor: int):
     it would add a frame per nesting level."""
     frame = env.frames.pop()
     env.out[anchor:anchor] = [
-        Diagnostic(UNUSED_BINDING, name, tuple(stack)) for name, used in frame.items() if not used
+        Diagnostic(UNUSED_BINDING, name, stack) for name, used in frame.items() if not used
     ]
 
 
 def _malformed(expr, env: Environment, stack):
     head = expr.car if isinstance(expr, Cons) and isinstance(expr.car, Symbol) else intern("?")
-    env.out.append(Diagnostic(MALFORMED_FORM, head, tuple(stack)))
+    env.out.append(Diagnostic(MALFORMED_FORM, head, stack))
 
 
 def _proper_elements(expr):
@@ -167,7 +160,7 @@ def walk_lambda_form(args, _next):
     env.frames.append(dict.fromkeys(params, False))
     try:
         for form in parts[2:]:
-            walk(form, env, (form,) + tuple(stack))
+            walk(form, env, (form,) + stack)
     finally:
         _close_scope(env, stack, anchor)
 
@@ -200,11 +193,11 @@ def walk_let_form(args, _next):
     walk = env.walk
     anchor = len(env.out)
     for init in inits:
-        walk(init, env, (init,) + tuple(stack))
+        walk(init, env, (init,) + stack)
     env.frames.append(dict.fromkeys(names, False))
     try:
         for form in parts[2:]:
-            walk(form, env, (form,) + tuple(stack))
+            walk(form, env, (form,) + stack)
     finally:
         _close_scope(env, stack, anchor)
 
@@ -214,11 +207,11 @@ def walk_symbol_form(args, _next):
     if expr is NIL:
         # the empty list is self-evaluating, not a variable reference
         return
-    frame = env.lookup(expr)
-    if frame is not None:
-        frame[expr] = True
-    else:
-        env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, tuple(stack)))
+    for frame in reversed(env.frames):
+        if expr in frame:
+            frame[expr] = True
+            return
+    env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, stack))
 
 
 def walk_call_form(args, _next):
@@ -229,10 +222,11 @@ def walk_call_form(args, _next):
     if parts is None:
         _malformed(expr, env, stack)
         return
+    if isinstance(parts[0], Symbol):
+        del parts[0]
     walk = env.walk
-    forms = parts[1:] if isinstance(parts[0], Symbol) else parts
-    for form in forms:
-        walk(form, env, (form,) + tuple(stack))
+    for form in parts:
+        walk(form, env, (form,) + stack)
 
 
 def walk_atom_form(args, _next):

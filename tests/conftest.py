@@ -23,6 +23,7 @@ from gendispatch import (
     Instance,
     Method,
     NoApplicableMethod,
+    ParseError,
     Request,
     SignumGenericFunction,
     SignumSpecializer,
@@ -249,3 +250,73 @@ def _oracle_media_range(element: str):
             q = Fraction(int(whole + digits.ljust(3, "0")), 1000)
             break
     return (type_, subtype, q)
+
+
+# -- the reader before the findall rewrite, kept as an oracle
+
+_ORACLE_END = r'(?![^\s()"])'
+_ORACLE_TOKENS = re.compile(
+    r'\s*(?:([^\s()"\d+.-][^\s()"]*)|(\()|(\))'
+    r'|("[^"\\]*(?:\\.[^"\\]*)*("?))'
+    r"|([+-]?\d+)" + _ORACLE_END
+    + r"|([+-]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+))" + _ORACLE_END
+    + r'|([^\s()"]+))',
+    re.DOTALL,
+)
+_SYMBOL, _OPEN, _CLOSE, _STRING, _STRING_END, _INT, _FLOAT = range(1, 8)
+_ORACLE_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ORACLE_NON_SPACE = re.compile(r"\S")
+
+
+def oracle_read_sexpr(text: str):
+    """Parse exactly one expression from `text`, one `finditer` match per
+    token, as the library once did."""
+    opens = []  # positions of the unclosed "(", innermost last
+    outer = []  # items of the enclosing unclosed lists, innermost last
+    items = []
+    # with trailing whitespace cut off, a token follows every run of it, so
+    # the leading \s* of the token regex never has to backtrack
+    for m in _ORACLE_TOKENS.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastindex
+        if kind == _SYMBOL:
+            value = intern(m.group(kind))
+        elif kind == _OPEN:
+            opens.append(m.start(kind))
+            outer.append(items)
+            items = []
+            continue
+        elif kind == _CLOSE:
+            if not opens:
+                raise ParseError("unbalanced close paren", m.start(kind))
+            value = NIL
+            for item in reversed(items):
+                value = Cons(item, value)
+            opens.pop()
+            items = outer.pop()
+        elif kind == _STRING:
+            if not m.group(_STRING_END):
+                raise ParseError("unterminated string opened", m.start(kind))
+            value = m.group(kind)[1:-1]
+            if "\\" in value:
+                value = _ORACLE_ESCAPE.sub(r"\1", value)
+        elif kind == _INT:
+            try:
+                value = int(m.group(kind))
+            except ValueError:
+                # past sys.get_int_max_str_digits(); float() has no such limit
+                raise ParseError("integer literal too long", m.start(kind)) from None
+        elif kind == _FLOAT:
+            value = float(m.group(kind))
+        else:
+            value = intern(m.group(kind))
+        if not opens:
+            break
+        items.append(value)
+    else:
+        if opens:
+            raise ParseError("unterminated list opened", opens[-1])
+        raise ParseError("empty input", len(text))
+    garbage = _ORACLE_NON_SPACE.search(text, m.end())
+    if garbage:
+        raise ParseError("trailing garbage after expression", garbage.start())
+    return value

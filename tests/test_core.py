@@ -12,9 +12,11 @@ import pytest
 from gendispatch import (
     ANY,
     CLASSES,
+    NIL,
     ClassGeneralizer,
     ClassRegistry,
     ClassSpecializer,
+    Cons,
     EqlSpecializer,
     GenericFunction,
     Instance,
@@ -80,6 +82,18 @@ def test_no_applicable_method() -> None:
     gf.add_method(Method([cls_spec("integer")], tagged("integer")))
     with pytest.raises(NoApplicableMethod):
         gf("not a number")
+
+
+def test_no_applicable_method_on_a_deeply_nested_form() -> None:
+    # the error message prints the argument, nesting level by nesting level
+    form = NIL
+    for _ in range(100_000):
+        form = Cons(form, NIL)
+    gf = GenericFunction("f", 1)
+    gf.add_method(Method([cls_spec("integer")], tagged("integer")))
+    with pytest.raises(NoApplicableMethod) as err:
+        gf(form)
+    assert str(err.value) == "no applicable method for f on (%s)" % ("(" * 100_000 + "()" + ")" * 100_000)
 
 
 def test_no_primary_method_raised_at_call_time() -> None:

@@ -199,3 +199,20 @@ def test_long_lists_compare_without_recursion() -> None:
     n = 50_000
     assert cons_list(*range(n)) == cons_list(*range(n))
     assert cons_list(*range(n)) != cons_list(*range(n - 1), -1)
+
+
+def test_deep_car_nesting_formats_and_compares_without_recursion() -> None:
+    depth = 100_000
+    form = other = NIL
+    for _ in range(depth):
+        form, other = Cons(form, NIL), Cons(other, NIL)
+    text = "(" * depth + "()" + ")" * depth
+    assert format_value(form) == text
+    assert repr(form) == text
+    assert form == other
+    innermost = other
+    while innermost.car is not NIL:
+        innermost = innermost.car
+    innermost.car = 1
+    assert form != other
+    assert format_value(other).endswith("(1" + ")" * depth)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 
 import pytest
 
-from gendispatch import NIL, Cons, ParseError, cons_list, format_value, intern, iter_list, read_sexpr
+from gendispatch import NIL, Cons, ParseError, Symbol, cons_list, format_value, intern, iter_list, read_sexpr
+
+from conftest import oracle_read_sexpr
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_reads_atoms() -> None:
@@ -148,3 +153,63 @@ def test_round_trip_random_forms() -> None:
         back = read_sexpr(text)
         assert format_value(back) == text
         assert shape(back) == shape(form)
+
+
+def typed(value):
+    """A value as nested lists of (type, repr) leaves, so that 1, 1.0, 0.0
+    and -0.0 all differ."""
+    if isinstance(value, Cons):
+        return [typed(v) for v in iter_list(value)]
+    return (type(value), repr(value))
+
+
+def outcome(read, text: str):
+    """What `read` makes of `text`: the typed value, or the error's message
+    and position."""
+    try:
+        return typed(read(text))
+    except ParseError as err:
+        return (str(err), err.position)
+
+
+def test_fuzzed_text_reads_as_the_oracle_reads_it() -> None:
+    # parens, quotes, escapes, signs, dots, exponents, letters of both cases,
+    # ASCII and Unicode whitespace, an Arabic-Indic digit and a superscript
+    # two, which is no decimal digit
+    alphabet = list('()"\\+-.eE1aB') + ["\t", "\n", " ", "\xa0", "\x85", "\u0663", "\u00b2"]
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(100_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        expected = outcome(oracle_read_sexpr, text)
+        assert outcome(read_sexpr, text) == expected, text
+        if isinstance(expected, list):
+            seen.add(list)
+        else:
+            seen.add(expected[0] if isinstance(expected[0], type) else expected[0].partition(" (at")[0])
+    # every kind of value and every error but the over-long integer came up
+    assert seen == {
+        list, int, float, str, Symbol, type(NIL),
+        "empty input", "trailing garbage after expression", "unbalanced close paren",
+        "unterminated list opened", "unterminated string opened",
+    }
+
+
+def test_walk_programs_read_as_the_oracle_reads_them() -> None:
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(PERFBENCH)
+    for text, _ in inputs.walk_inputs(random.Random(23), 300):
+        form = read_sexpr(text)
+        assert typed(form) == typed(oracle_read_sexpr(text))
+        assert form == oracle_read_sexpr(text)
+
+
+def test_interned_number_and_string_spellings_keep_their_reading() -> None:
+    # a symbol-table entry spelled like a number or a string does not turn
+    # such a token into a symbol
+    for name in ("12", "-1", "1e3", '"a"'):
+        intern(name)
+    assert typed(read_sexpr("(12 -1 1e3 \"a\")")) == [(int, "12"), (int, "-1"), (float, "1000.0"), (str, "'a'")]
