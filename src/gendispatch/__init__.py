@@ -73,7 +73,6 @@ from .httpd import (
     make_responder,
     parse_http_request,
     respond,
-    serve,
 )
 from .bench import BenchResult, bench_cons, bench_signum, time_per_call
 

@@ -26,6 +26,7 @@ from .core import _EXACT_GENERALIZERS, ClassGeneralizer, Generalizer, GenericFun
 from .core import Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
+_MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
 # one element of a lower-cased header: type/subtype (a type of * needs a
 # subtype of *), then parameters; the first named q must hold a valid q value
 # (group 3), and what follows it is ignored.  \s is what str.strip removes
@@ -110,7 +111,8 @@ class AcceptSpecializer(Specializer):
 
     def __init__(self, media_type: str):
         media_type = media_type.lower()
-        if media_type.count("/") != 1 or "*" in media_type:
+        # what one header element can name exactly: type and subtype tokens
+        if "*" in media_type or _MEDIA_TYPE(media_type) is None:
             raise ValueError("media type must be concrete: %r" % media_type)
         self.media_type = media_type
 
@@ -216,7 +218,7 @@ class AcceptGenericFunction(GenericFunction):
             return (False, True)
         return super().specializer_accepts_generalizer(s, g)
 
-    def _extension_order(self, s1, s2, g):
+    def specializer_order(self, s1, s2, g):
         if (
             isinstance(s1, AcceptSpecializer)
             and isinstance(s2, AcceptSpecializer)
@@ -227,7 +229,7 @@ class AcceptGenericFunction(GenericFunction):
             r1 = g.ranks[self._media_index[s1.media_type]]
             r2 = g.ranks[self._media_index[s2.media_type]]
             return (r1 > r2) - (r1 < r2)
-        return super()._extension_order(s1, s2, g)
+        return super().specializer_order(s1, s2, g)
 
 
 def make_negotiator(media_types, cache: str = "auto") -> AcceptGenericFunction:

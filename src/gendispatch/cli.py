@@ -87,9 +87,9 @@ def main(argv=None) -> int:
 
 def _cmd_walk(path: str) -> int:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read %s: %s" % (path, exc), file=sys.stderr)
         return 1
     try:

@@ -3,7 +3,9 @@
 Method selection is decoupled from argument classes through generalizers: a
 generalizer names the equivalence class of arguments that dispatch alike, and
 is itself the memoization key.  Equal generalizers must therefore be one
-object (the shipped ones are interned) or must hash and compare equal.
+object (the shipped ones are interned) or must hash and compare equal.  A
+miss selects and sorts methods from that same key: one generalizer per
+dispatch position, as the other positions hold only the universal specializer.
 Subclasses of GenericFunction extend dispatch by overriding the protocol
 methods (generalizer_of, specializer_accepts_generalizer, specializer_order)
 for their own specializer and generalizer kinds only.
@@ -190,7 +192,7 @@ class GenericFunction:
     is cleared when it reaches CACHE_LIMIT entries.
     `cache` is one of "auto" (single bare key when exactly one argument
     position discriminates, else a key tuple), "list" (always a tuple), or
-    "none" (no memoization).
+    "none" (a key tuple that selects methods but is never memoized).
     """
 
     kind = "standard"
@@ -275,7 +277,9 @@ class GenericFunction:
 
     def specializer_order(self, s1: Specializer, s2: Specializer, g: Generalizer) -> int:
         """Three-way comparison of two specializers that both accept g's
-        argument: negative when s1 is more specific."""
+        argument: negative when s1 is more specific.  Two specializers of one
+        extension kind tie here; an extension that orders them overrides this
+        and calls super() for every other pair."""
         if s1 == s2:
             return 0
         r1 = _specializer_rank(s1)
@@ -287,9 +291,6 @@ class GenericFunction:
             i1 = cpl.index(s1.cls)
             i2 = cpl.index(s2.cls)
             return -1 if i1 < i2 else (1 if i1 > i2 else 0)
-        return self._extension_order(s1, s2, g)
-
-    def _extension_order(self, s1, s2, g) -> int:
         return 0
 
     # -- applicability
@@ -306,32 +307,29 @@ class GenericFunction:
         ]
         if len(selected) < 2:
             return selected
-        gens = [None] * self.nargs
-        for i in self._dispatch_positions:
-            gens[i] = self.generalizer_of(args[i], i)
-        return self._sort_methods(selected, gens)
+        key = tuple(self.generalizer_of(args[i], i) for i in self._dispatch_positions)
+        return self._sort_methods(selected, key)
 
     def compute_applicable_methods_using_generalizers(self, generalizers):
-        """Methods applicable to any arguments with these generalizers.
-        Returns (methods, definitive); a False second value means the list
-        cannot be trusted and per-argument selection must be used."""
+        """Methods applicable to any arguments with these generalizers, one
+        per argument.  Returns (methods, definitive); a False second value
+        means the list cannot be trusted and per-argument selection must be
+        used.  Only the dispatch positions are read: every other position
+        holds only the universal specializer."""
         generalizers = list(generalizers)
         if len(generalizers) != self.nargs:
             raise TypeError("%s expects %d generalizers" % (self.name, self.nargs))
-        return self._applicable_from_generalizers(generalizers)
+        key = tuple(generalizers[i] for i in self._dispatch_positions)
+        return self._applicable_from_generalizers(key)
 
-    def _applicable_from_generalizers(self, gens):
+    def _applicable_from_generalizers(self, key):
+        positions = self._dispatch_positions
         definitive = True
         selected = []
         for m in self.methods:
             accepted = True
-            for i, s in enumerate(m.specializers):
-                g = gens[i]
-                if g is None:
-                    # invoke path: position outside the dispatch set, every
-                    # specializer there is the universal one
-                    continue
-                ok, sure = self.specializer_accepts_generalizer(s, g)
+            for i, g in zip(positions, key):
+                ok, sure = self.specializer_accepts_generalizer(m.specializers[i], g)
                 # no early exit: definitiveness must not depend on the order
                 # in which methods and positions happen to be examined
                 definitive = definitive and sure
@@ -339,15 +337,15 @@ class GenericFunction:
             if accepted:
                 selected.append(m)
         if len(selected) > 1:
-            selected = self._sort_methods(selected, gens)
+            selected = self._sort_methods(selected, key)
         return selected, definitive
 
-    def _sort_methods(self, methods, gens):
+    def _sort_methods(self, methods, key):
         positions = self._dispatch_positions
 
         def compare(m1, m2):
-            for i in positions:
-                r = self.specializer_order(m1.specializers[i], m2.specializers[i], gens[i])
+            for i, g in zip(positions, key):
+                r = self.specializer_order(m1.specializers[i], m2.specializers[i], g)
                 if r:
                     return r
             return 0
@@ -405,45 +403,37 @@ class GenericFunction:
             if entry is not None:
                 body, next_call = entry
                 return body(args, next_call)
-            gens = [None] * self.nargs
-            gens[i] = g
-            return self._dispatch(args, gens, g)
-        positions = self._dispatch_positions
-        if self.cache_mode == "none":
-            gens = [None] * self.nargs
-            for i in positions:
-                gens[i] = self.generalizer_of(args[i], i)
-            return self._dispatch(args, gens, None)
-        # the key comes straight from the generalizers, the list only on a miss; a
-        # comprehension here would make self and args cells, slowing every call
+            return self._dispatch(args, (g,), g)
+        # a comprehension here would make self and args cells, slowing every call
         key = ()
-        for i in positions:
+        for i in self._dispatch_positions:
             key += (self.generalizer_of(args[i], i),)
+        if self.cache_mode == "none":
+            return self._dispatch(args, key, None)
         entry = self._cache.get(key)
         if entry is not None:
             body, next_call = entry
             return body(args, next_call)
-        gens = [None] * self.nargs
-        for i, g in zip(positions, key):
-            gens[i] = g
-        return self._dispatch(args, gens, key)
+        return self._dispatch(args, key, key)
 
     def invoke(self, args):
         return self.__call__(*args)
 
-    def _dispatch(self, args, gens, key):
-        """Cache-miss path: select, combine, and memoize when definitive.  A
-        definitive empty outcome is memoized too, as an entry that raises."""
-        methods, definitive = self._applicable_from_generalizers(gens)
+    def _dispatch(self, args, key, cache_key):
+        """Cache-miss path: select from the key tuple (one generalizer per
+        dispatch position), combine, and memoize under cache_key when
+        definitive; a cache_key of None memoizes nothing.  A definitive
+        empty outcome is memoized too, as an entry that raises."""
+        methods, definitive = self._applicable_from_generalizers(key)
         if definitive:
             if methods:
                 entry = self.compute_effective_method(methods).entry
             else:
                 entry = (_no_applicable_method, weakref.proxy(self))
-            if key is not None:
+            if cache_key is not None:
                 if len(self._cache) >= CACHE_LIMIT:
                     self._cache.clear()
-                self._cache[key] = entry
+                self._cache[cache_key] = entry
             body, next_call = entry
             return body(args, next_call)
         methods = self.compute_applicable_methods(args)

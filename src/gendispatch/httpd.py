@@ -148,12 +148,3 @@ def serve_forever(sock: socket.socket, responder=None, max_requests: int | None 
         finally:
             conn.close()
         handled += 1
-
-
-def serve(port: int, max_requests: int | None = None):
-    """Bind and serve until interrupted."""
-    sock = open_server_socket(port)
-    try:
-        serve_forever(sock, max_requests=max_requests)
-    finally:
-        sock.close()

@@ -8,6 +8,7 @@ import re
 from fractions import Fraction
 
 from gendispatch import (
+    ANY,
     CLASSES,
     NIL,
     AcceptGenericFunction,
@@ -171,16 +172,24 @@ def random_config(
     calls: int = 1,
     kind: str | None = None,
     trace: list | None = None,
+    nargs: int | None = None,
 ):
     """One random generic function, of `kind` or of a random kind, plus
-    `calls` argument lists for it.  Given a `trace` list, methods also draw
-    before, after and around qualifiers, and every body appends itself to
-    the trace and may call its next method."""
+    `calls` argument lists for it.  It takes a drawn 1 or 2 arguments, or
+    `nargs`; given `nargs`, each position is also left to the universal
+    specializer in every method with probability 1/3, so that the dispatch
+    positions can have gaps, as (0, 2) or (1, 2) do.  Given a `trace` list,
+    methods also draw before, after and around qualifiers, and every body
+    appends itself to the trace and may call its next method."""
     kind = kind or rng.choice(list(_GF_KINDS))
-    nargs = rng.choice([1, 1, 1, 2])
+    universal = []
+    if nargs is None:
+        nargs = rng.choice([1, 1, 1, 2])
+    else:
+        universal = [i for i in range(nargs) if rng.random() < 1 / 3]
     gf = _GF_KINDS[kind]("probe", nargs, cache=cache)
     for label in range(rng.randint(1, 5)):
-        specializers = [random_specializer(rng, kind) for _ in range(nargs)]
+        specializers = [ANY if i in universal else random_specializer(rng, kind) for i in range(nargs)]
         if trace is None:
             gf.add_method(Method(specializers, _labelled_body(label)))
         else:

@@ -85,7 +85,10 @@ def test_quality_ties_go_to_the_first_occurrence() -> None:
 
 def test_accept_specializer_requires_a_concrete_media_type() -> None:
     AcceptSpecializer("text/html")
-    for bad in ("text/*", "*/*", "texthtml", "a/b/c"):
+    bad_types = ("text/*", "*/*", "texthtml", "a/b/c")
+    # a type or subtype that is empty, or holds a space, comma or parameter
+    bad_types += ("text/", "/html", "text /html", "te,xt/html", "text/html;q=1")
+    for bad in bad_types:
         with pytest.raises(ValueError):
             AcceptSpecializer(bad)
 

@@ -42,6 +42,16 @@ def test_walk_missing_file(capsys) -> None:
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_walk_file_that_is_not_utf8(tmp_path, capsys) -> None:
+    path = tmp_path / "form.sexp"
+    path.write_bytes(b"\xff\xfe(lambda (x) y)")
+    assert main(["walk", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read %s: " % path)
+    assert captured.err.count("\n") == 1
+
+
 def test_walk_unparsable_form(tmp_path, capsys) -> None:
     path = tmp_path / "form.sexp"
     path.write_text("(((")
@@ -242,6 +252,11 @@ def test_serve_requires_a_port(capsys) -> None:
         (["bench", "--min-run-time", "inf"], "--min-run-time must be finite and at least 0: inf"),
         (["bench", "--min-run-time", "nan"], "--min-run-time must be finite and at least 0: nan"),
         (["bench", "--min-run-time", "-0.5"], "--min-run-time must be finite and at least 0: -0.5"),
+        (["negotiate", "*/*", "text/"], "media type must be concrete: 'text/'"),
+        (["negotiate", "*/*", "/html"], "media type must be concrete: '/html'"),
+        (["negotiate", "*/*", "text /html"], "media type must be concrete: 'text /html'"),
+        (["negotiate", "*/*", "te,xt/html"], "media type must be concrete: 'te,xt/html'"),
+        (["negotiate", "*/*", "text/html;q=1"], "media type must be concrete: 'text/html;q=1'"),
     ],
 )
 def test_out_of_range_operands_are_one_line_usage_errors(argv, message, capsys) -> None:

@@ -408,15 +408,31 @@ def test_freeze_key_separates_numeric_kinds() -> None:
     assert freeze_key("s") == "s"
 
 
+def _assert_cache_modes_agree(seed, traced=False, **config):
+    """Run one random configuration under each cache mode: every mode gives
+    the same outcomes and, when traced, runs the same bodies in the same
+    order.  Returns the configuration's dispatch positions."""
+    runs = []
+    for mode in ("auto", "list", "none"):
+        trace = [] if traced else None
+        gf, arglists = random_config(random.Random(seed), cache=mode, calls=8, trace=trace, **config)
+        outcome = combination_outcome if traced else invoke_outcome
+        runs.append(([outcome(gf, args) for args in arglists], trace))
+    assert runs[0] == runs[1] == runs[2]
+    return gf._dispatch_positions
+
+
 def test_cache_modes_agree_on_random_traces() -> None:
     rng = random.Random(2024)
     for _ in range(60):
-        seed = rng.getrandbits(32)
-        outcomes = []
-        for mode in ("auto", "list", "none"):
-            gf, arglists = random_config(random.Random(seed), cache=mode, calls=8)
-            outcomes.append([invoke_outcome(gf, args) for args in arglists])
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        _assert_cache_modes_agree(rng.getrandbits(32))
+
+
+def test_cache_modes_agree_on_random_three_argument_traces() -> None:
+    # misses select from the key tuple alone, whichever positions it covers
+    rng = random.Random(2025)
+    positions = {_assert_cache_modes_agree(rng.getrandbits(32), nargs=3) for _ in range(60)}
+    assert {(0, 2), (1, 2), (1,), (2,)} <= positions
 
 
 @pytest.mark.parametrize("kind", ["standard", "cons", "signum", "accept"])
@@ -426,13 +442,17 @@ def test_cache_modes_agree_on_random_method_combinations(kind) -> None:
     # in the same order as uncached dispatch
     rng = random.Random(515)
     for _ in range(300):
-        seed = rng.getrandbits(32)
-        runs = []
-        for mode in ("auto", "list", "none"):
-            trace = []
-            gf, arglists = random_config(random.Random(seed), cache=mode, calls=8, kind=kind, trace=trace)
-            runs.append(([combination_outcome(gf, args) for args in arglists], trace))
-        assert runs[0] == runs[1] == runs[2]
+        _assert_cache_modes_agree(rng.getrandbits(32), traced=True, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cons", "signum", "accept"])
+def test_cache_modes_agree_on_random_three_argument_method_combinations(kind) -> None:
+    rng = random.Random(516)
+    positions = {
+        _assert_cache_modes_agree(rng.getrandbits(32), traced=True, kind=kind, nargs=3)
+        for _ in range(300)
+    }
+    assert {(0, 2), (1, 2), (1,), (2,)} <= positions
 
 
 def test_full_cache_starts_afresh_with_identical_results(monkeypatch) -> None:
