@@ -1,4 +1,8 @@
-"""Command-line front end: walk, fact, negotiate, serve, bench."""
+"""Command-line front end: walk, fact, negotiate, serve, bench.
+
+Each command imports the layer it runs when it runs, so `fact` loads no
+walker, Accept or HTTP code and `serve` loads no walker or benchmark.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,6 @@ import sys
 
 from .core import NoApplicableMethod
 from .reader import ParseError
-from .accept import negotiate
-from .bench import MIN_RUN_SECONDS, RUNS, bench_cons, bench_signum
-from .httpd import open_server_socket, serve_forever
-from .signum import make_fact
-from .walker import walk_check
 
 _DEMO_TYPES = ["text/html", "application/xml", "text/plain"]
 
@@ -50,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="compare dispatch implementations")
     bench.add_argument("--scenario", choices=["signum", "cons"], default=None)
-    bench.add_argument("--runs", type=int, default=RUNS)
-    bench.add_argument("--min-run-time", type=float, default=MIN_RUN_SECONDS)
+    bench.add_argument("--runs", type=int, default=None)  # None: bench's defaults
+    bench.add_argument("--min-run-time", type=float, default=None)
     return parser
 
 
@@ -86,6 +85,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_walk(path: str) -> int:
+    from .walker import walk_check
+
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -106,6 +107,8 @@ def _cmd_walk(path: str) -> int:
 
 
 def _cmd_fact(n) -> int:
+    from .signum import make_fact
+
     try:
         print(make_fact()(n))
         return 0
@@ -118,6 +121,8 @@ def _cmd_fact(n) -> int:
 
 
 def _cmd_negotiate(header: str, types) -> int:
+    from .accept import negotiate
+
     try:
         selected = negotiate(header, types)
     except ValueError as exc:  # a media type that is not concrete
@@ -131,6 +136,8 @@ def _cmd_negotiate(header: str, types) -> int:
 
 
 def _cmd_serve(port: int) -> int:
+    from .httpd import open_server_socket, serve_forever
+
     if not 0 <= port <= 65535:
         print("gendispatch: port must be in 0..65535: %d" % port, file=sys.stderr)
         return 2
@@ -150,6 +157,10 @@ def _cmd_serve(port: int) -> int:
 
 
 def _cmd_bench(scenario, runs, min_run_seconds) -> int:
+    from .bench import MIN_RUN_SECONDS, RUNS, bench_cons, bench_signum
+
+    runs = RUNS if runs is None else runs
+    min_run_seconds = MIN_RUN_SECONDS if min_run_seconds is None else min_run_seconds
     if runs < 1:
         print("gendispatch: --runs must be at least 1: %d" % runs, file=sys.stderr)
         return 2

@@ -24,7 +24,9 @@ class HttpParseError(ValueError):
 
 def parse_http_request(raw: bytes) -> Request:
     """Parse a raw request: request line, CRLF-separated headers, empty line.
-    The body, if any, is ignored."""
+    The body, if any, is ignored.  A field name holding whitespace, which
+    includes an obs-fold continuation line, is refused (RFC 9112 section 5);
+    repeated field lines are combined in order with ", " (RFC 9110 5.3)."""
     head, sep, _body = raw.partition(b"\r\n\r\n")
     if not sep:
         raise HttpParseError("missing header terminator")
@@ -36,9 +38,10 @@ def parse_http_request(raw: bytes) -> Request:
     headers = {}
     for line in lines[1:]:
         name, colon, value = line.partition(":")
-        if not colon or not name.strip():
+        if not colon or name.split() != [name]:  # empty, or holds whitespace
             raise HttpParseError("malformed header line: %r" % line)
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.lower(), value.strip()
+        headers[name] = headers[name] + ", " + value if name in headers else value
     return Request(method, path, headers)
 
 

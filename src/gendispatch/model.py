@@ -8,7 +8,7 @@ compared by identity, so dispatch can key its cache on one object per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from reprlib import recursive_repr
 
 
 class Symbol:
@@ -247,12 +247,25 @@ _C_STRING = CLASSES["string"]
 _C_REQUEST = CLASSES["request"]
 
 
-@dataclass
 class Instance:
-    """An instance of a user-defined class."""
+    """An instance of a user-defined class: equal to another instance of the
+    same type with equal fields, and unhashable."""
 
-    class_ref: ClassRef
-    slots: dict = field(default_factory=dict)
+    __hash__ = None
+    __match_args__ = ("class_ref", "slots")
+
+    def __init__(self, class_ref: ClassRef, slots: dict | None = None):
+        self.class_ref = class_ref
+        self.slots = {} if slots is None else slots
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.class_ref, self.slots) == (other.class_ref, other.slots)
+
+    @recursive_repr()
+    def __repr__(self):
+        return "%s(class_ref=%r, slots=%r)" % (type(self).__qualname__, self.class_ref, self.slots)
 
 
 class Request:

@@ -59,6 +59,8 @@ def test_parse_ignores_any_body() -> None:
         b"GET / NOTHTTP\r\n\r\n",
         b"GET / HTTP/1.1\r\nbogus line\r\n\r\n",
         b"GET / HTTP/1.1\r\n: novalue\r\n\r\n",
+        b"GET / HTTP/1.1\r\nAccept : text/html\r\n\r\n",  # whitespace before the colon
+        b"GET / HTTP/1.1\r\n Accept: text/html\r\n\r\n",  # obs-fold line
     ],
 )
 def test_parse_rejects_malformed_requests(raw: bytes) -> None:
@@ -101,6 +103,12 @@ def test_handle_raw_status_lines() -> None:
     assert handle_raw(request_bytes("text/html")).startswith(b"HTTP/1.1 200 OK\r\n")
     assert handle_raw(request_bytes("image/png")).startswith(b"HTTP/1.1 406 Not Acceptable\r\n")
     assert handle_raw(b"garbage").startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+
+def test_repeated_accept_lines_negotiate_as_one_list() -> None:
+    raw = b"GET / HTTP/1.1\r\nAccept: text/html\r\nAccept: text/plain;q=0.5\r\n\r\n"
+    assert parse_http_request(raw).accept == "text/html, text/plain;q=0.5"
+    assert b"Content-Type: text/html\r\n" in handle_raw(raw)
 
 
 def test_handle_raw_content_negotiation_end_to_end() -> None:

@@ -71,6 +71,20 @@ def test_class_of_instance_uses_its_class() -> None:
     assert class_of(Instance(point)) is point
 
 
+def test_instances_compare_by_fields_and_are_unhashable() -> None:
+    point = ClassRegistry().define("point", ["standard-object"])
+    a, b = Instance(point), Instance(point)
+    assert a == b and a.slots is not b.slots
+    a.slots["x"] = 1
+    assert a != b and a == Instance(point, {"x": 1})
+    assert Instance(point) != object()
+    with pytest.raises(TypeError):
+        hash(a)
+    assert repr(a) == "Instance(class_ref=<class point>, slots={'x': 1})"
+    a.slots["self"] = a
+    assert repr(a) == "Instance(class_ref=<class point>, slots={'x': 1, 'self': ...})"
+
+
 def test_builtin_precedence_lists() -> None:
     assert names(CLASSES["integer"].precedence_list) == ["integer", "real", "number", "t"]
     assert names(CLASSES["null"].precedence_list) == ["null", "symbol", "list", "t"]

@@ -113,6 +113,18 @@ def test_diagnostic_string_and_context() -> None:
     assert unbound.context[-1] is form
 
 
+def test_diagnostics_compare_by_fields_and_are_unhashable() -> None:
+    x = intern("x")
+    assert Diagnostic(UNUSED_BINDING, x).context == ()
+    assert Diagnostic(UNUSED_BINDING, x) == Diagnostic(UNUSED_BINDING, x, ())
+    assert Diagnostic(UNUSED_BINDING, x) != Diagnostic(UNBOUND_VARIABLE, x)
+    with pytest.raises(TypeError):
+        hash(Diagnostic(UNUSED_BINDING, x))
+    assert repr(walk_check("(lambda (x) y)")[0]) == (
+        "Diagnostic(kind='unused-binding', variable=x, context=((lambda (x) y),))"
+    )
+
+
 def test_walk_gf_selection_order_for_a_let_form() -> None:
     walker = Walker()
     form = read_sexpr("(let ((x 1)) x)")
