@@ -2,8 +2,10 @@
 type and are ordered by the client's quality values.
 
 Parsing is total: elements that do not parse are dropped.  Quality values are
-kept as exact decimals (at most three fractional digits), never floats.  The
-header is lower-cased once; one regex match per element gives its range and q.
+exact decimals (at most three fractional digits), never floats: dispatch
+ranks on (type, subtype, q in thousandths) tuples, and only
+parse_accept_header builds Fractions, for its public view.  The header is
+lower-cased once; one regex match per element gives its range and q.
 
 Dispatch depends on a header only through the client's preference order over
 the media types the function's methods name, so that order, not the header
@@ -17,8 +19,7 @@ repeated header is not parsed again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
 
 from .model import Request, class_of
@@ -37,18 +38,9 @@ _ELEMENT = re.compile(
 ).fullmatch
 
 
-@dataclass(frozen=True)
-class MediaRange:
-    type: str
-    subtype: str
-    q: Fraction
-
-
-@dataclass(frozen=True)
-class AcceptTree:
-    """Parsed Accept header: media ranges in header order."""
-
-    ranges: tuple[MediaRange, ...]
+MediaRange = namedtuple("MediaRange", ["type", "subtype", "q"])
+AcceptTree = namedtuple("AcceptTree", ["ranges"])
+AcceptTree.__doc__ = "Parsed Accept header: media ranges in header order."
 
 
 def _media_ranges(header: str) -> list:
@@ -74,6 +66,8 @@ def parse_accept_header(header: str) -> AcceptTree:
 
 @cache  # at most 1001 entries; Fraction(str) costs several microseconds
 def _q_value(thousandths: int) -> Fraction:
+    from fractions import Fraction  # only this public view needs it
+
     return Fraction(thousandths, 1000)
 
 
@@ -81,21 +75,26 @@ def quality(media_type: str, tree: AcceptTree) -> Fraction | None:
     """The client's preference for a concrete media type, or None when no
     range matches.  An exact match beats type/*, which beats */*; among
     equally specific ranges the first in the header wins."""
+    return _best_q(media_type, tree.ranges)
+
+
+def _best_q(media_type: str, ranges):
+    """quality over (type, subtype, q) triples, whatever q's type."""
     type_, _, subtype = media_type.lower().partition("/")
     best = None
     best_rank = 0
-    for r in tree.ranges:
-        if r.type == type_ and r.subtype == subtype:
+    for r_type, r_subtype, q in ranges:
+        if r_type == type_ and r_subtype == subtype:
             rank = 3
-        elif r.type == type_ and r.subtype == "*":
+        elif r_type == type_ and r_subtype == "*":
             rank = 2
-        elif r.type == "*":
+        elif r_type == "*":
             rank = 1
         else:
             continue
         if rank > best_rank:
             best_rank = rank
-            best = r.q
+            best = q
     return best
 
 
@@ -120,8 +119,7 @@ class AcceptSpecializer(Specializer):
         header = _header_of(obj)
         if header is None:
             return False
-        q = quality(self.media_type, parse_accept_header(header))
-        return q is not None and q > 0
+        return bool(_best_q(self.media_type, _media_ranges(header)))  # None or 0 refuses
 
     def __eq__(self, other):
         return isinstance(other, AcceptSpecializer) and self.media_type == other.media_type

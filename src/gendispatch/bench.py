@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .model import CLASSES, Cons, Symbol, intern
@@ -35,11 +35,8 @@ RUNS = 20
 MIN_RUN_SECONDS = 0.02
 
 
-@dataclass
-class BenchResult:
-    implementation: str
-    us_per_call: float
-    overhead_pct: float | None  # None for the baseline row
+# overhead_pct is None for the baseline row
+BenchResult = namedtuple("BenchResult", ["implementation", "us_per_call", "overhead_pct"])
 
 
 def time_per_call(fn, runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS) -> float:

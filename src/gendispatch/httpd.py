@@ -4,13 +4,14 @@ dispatching on the request's Accept header.  One request per connection.
 
 from __future__ import annotations
 
+import functools
 import socket
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import Request
 from .core import Method, NoApplicableMethod
-from .accept import AcceptGenericFunction, AcceptSpecializer
+from .accept import AcceptGenericFunction, AcceptSpecializer, _constantly
 
 MAX_HEADER_BYTES = 65536
 REQUEST_SECONDS = 5.0  # to send the whole request head, however it is dripped
@@ -40,16 +41,12 @@ def parse_http_request(raw: bytes) -> Request:
         name, colon, value = line.partition(":")
         if not colon or name.split() != [name]:  # empty, or holds whitespace
             raise HttpParseError("malformed header line: %r" % line)
-        name, value = name.lower(), value.strip()
+        name, value = name.lower(), value.strip(" \t")  # OWS only (RFC 9110 5.6.3)
         headers[name] = headers[name] + ", " + value if name in headers else value
     return Request(method, path, headers)
 
 
-@dataclass
-class Response:
-    status: int
-    content_type: str
-    body: bytes
+Response = namedtuple("Response", ["status", "content_type", "body"])
 
 
 def format_response(response: Response) -> bytes:
@@ -63,50 +60,43 @@ def format_response(response: Response) -> bytes:
 
 
 _PAGES = [
-    ("text/html", b"<!doctype html><html><body><h1>hello</h1></body></html>\n"),
-    ("application/xml", b'<?xml version="1.0"?><greeting>hello</greeting>\n'),
-    ("text/plain", b"hello\n"),
+    Response(200, "text/html", b"<!doctype html><html><body><h1>hello</h1></body></html>\n"),
+    Response(200, "application/xml", b'<?xml version="1.0"?><greeting>hello</greeting>\n'),
+    Response(200, "text/plain", b"hello\n"),
 ]
+_NOT_ACCEPTABLE = Response(406, "text/plain", b"not acceptable\n")
+_BAD_REQUEST = Response(400, "text/plain", b"bad request\n")
 
 
 def make_responder(cache: str = "auto") -> AcceptGenericFunction:
-    """The demo respond function: one method per served media type."""
+    """The demo respond function: one method per served page."""
     gf = AcceptGenericFunction("respond", 1, cache=cache)
-    for media_type, body in _PAGES:
-        gf.add_method(Method([AcceptSpecializer(media_type)], _page(media_type, body)))
+    for page in _PAGES:
+        gf.add_method(Method([AcceptSpecializer(page.content_type)], _constantly(page)))
     return gf
 
 
-def _page(media_type, body):
-    def method_body(args, _next):
-        return Response(200, media_type, body)
-
-    return method_body
-
-
 def respond(responder, request: Request) -> Response:
+    """The responder's Response for the request, or the shared 406 one."""
     try:
         return responder(request)
     except NoApplicableMethod:
-        return Response(406, "text/plain", b"not acceptable\n")
+        return _NOT_ACCEPTABLE
 
 
-_default_responder = None
+@functools.cache  # built on first use, so that a profiler wrapping Method after import sees it
+def _default_responder() -> AcceptGenericFunction:
+    return make_responder()
 
 
 def handle_raw(raw: bytes, responder=None) -> bytes:
     """Full request-to-bytes path: parse, negotiate, frame.  Malformed input
     yields a 400 instead of an exception."""
-    global _default_responder
-    if responder is None:
-        if _default_responder is None:
-            _default_responder = make_responder()
-        responder = _default_responder
     try:
         request = parse_http_request(raw)
     except HttpParseError:
-        return format_response(Response(400, "text/plain", b"bad request\n"))
-    return format_response(respond(responder, request))
+        return format_response(_BAD_REQUEST)
+    return format_response(respond(responder or _default_responder(), request))
 
 
 def open_server_socket(port: int) -> socket.socket:

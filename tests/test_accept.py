@@ -483,6 +483,9 @@ def test_match_table_ranks_equal_dense_ranks_from_quality() -> None:
             headers.append(", ".join(elements))
         for header in headers + headers:  # the second pass answers from the memo
             assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types), header
+        for header in headers:  # the specializer alone agrees on acceptance
+            for media_type, rank in zip(FAMILIES, oracle_ranks(header, FAMILIES)):
+                assert AcceptSpecializer(media_type).accepts(header) == (rank > 0), (media_type, header)
         if extra is not None:
             # adding a method rebuilds the table: the same headers rank the new type too
             gf.add_method(Method([AcceptSpecializer(extra)], lambda args, _next: extra))

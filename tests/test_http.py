@@ -35,6 +35,10 @@ def test_parse_http_request() -> None:
     assert req.header("host") == "localhost"
     assert req.header("Accept") == "text/html"
     assert req.accept == "text/html"
+    # only space and tab are trimmed from a field value (RFC 9110 5.6.3)
+    req = parse_http_request(b"GET / HTTP/1.1\r\nAccept: \t \x85text/html\xa0 \t\r\n\r\n")
+    assert req.accept == "\x85text/html\xa0"
+    assert respond(make_responder(), req).content_type == "text/html"  # the Accept parser trims \s
 
 
 def test_parse_missing_accept_defaults_to_star_star() -> None:

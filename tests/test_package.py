@@ -69,8 +69,13 @@ def heavy_modules_after(code: str) -> set:
         ("from gendispatch import Walker, read_sexpr\n"
          "Walker().check_form(read_sexpr('(lambda (x) (let ((y 1)) z))'))",
          {"gendispatch.walker"}),
+        ("import gendispatch.cli\ngendispatch.cli.main(['negotiate', 'text/html;q=0.5, */*;q=0.1'])",
+         {"gendispatch.accept"}),
+        ("from gendispatch import httpd\nhttpd.handle_raw(b'GET / HTTP/1.1\\r\\nAccept: text/html\\r\\n\\r\\n')",
+         {"gendispatch.accept", "gendispatch.httpd"}),
+        ("import gendispatch.bench", {"gendispatch.walker", "gendispatch.bench"}),
     ],
-    ids=["fact", "cli-fact", "walk"],
+    ids=["fact", "cli-fact", "walk", "cli-negotiate", "handle-raw", "bench"],
 )
 def test_a_process_loads_only_the_layers_it_runs(code: str, allowed: set) -> None:
     assert heavy_modules_after(code) == allowed
@@ -89,9 +94,11 @@ def test_every_public_name_resolves_in_a_fresh_interpreter() -> None:
 def test_signum_stays_the_function_after_importing_its_module() -> None:
     code = "import gendispatch.signum\nimport gendispatch as g\nprint(type(g.signum).__name__, g.signum(-3))"
     assert run_fresh(code) == "function -1"
+    assert callable(gendispatch.signum) and gendispatch.signum(0) == 0
 
 
 def test_unknown_attributes_raise_attribute_error() -> None:
     assert not hasattr(gendispatch, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         gendispatch.no_such_name  # noqa: B018
+    assert set(dir(gendispatch)) >= set(gendispatch.__all__)
