@@ -151,7 +151,7 @@ def monolithic_check(form):
             walk_symbol_form(args, None)
 
     env = Environment(walk)
-    walk(form, env, (form,))
+    walk(form, env, (form, None))
     return env.out
 
 

@@ -45,7 +45,8 @@ def intern(name: str) -> Symbol:
 
 
 class Cons:
-    """A mutable pair.  Proper lists are chains of pairs ending in NIL."""
+    """A mutable pair.  Proper lists are chains of pairs ending in NIL.  The reader
+    makes pairs without calling `__init__`, so it must stay the two slot stores."""
 
     __slots__ = ("car", "cdr")
 

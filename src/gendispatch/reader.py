@@ -1,13 +1,15 @@
 """A small s-expression reader: symbols, integers, floats, strings, proper lists.
 
-One `findall` of a compiled regex splits the text into plain-string tokens: a
-paren, a string (an unterminated one is its opening quote alone) or a run of
-other non-space characters.  A letter starts a symbol and a quote a string;
-any other atom goes through one number regex.  Lists are built on an explicit
-stack, so nesting depth is bounded by memory, not by the recursion limit.  The
-loop keeps token indexes, and only an error scans the text again to turn one
-into a character position.  `\\s` and `str.isspace` agree on every code point,
-and `\\d` accepts every Unicode decimal digit, which `int` and `float` read.
+The text splits into plain-string tokens: a paren, a string (an unterminated
+one is its opening quote alone) or a run of other non-space characters, by one
+regex `findall` if it holds a quote and else by `str.split` once the parens
+are spaced out.  A letter starts a symbol and a quote a string; any other atom
+goes through one number regex.  Lists are built on an explicit stack from
+pairs made without `Cons.__init__`, so nesting depth is bounded by memory, not
+by the recursion limit.  Only an error scans the text again with the regex, to
+turn a token index into a character position.  `\\s`, `str.split` and
+`str.isspace` agree on every code point, and `\\d` accepts every Unicode
+decimal digit, which `int` and `float` read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ _TOKENS = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|[^\s()"]+', re.DOTALL)
 # starts with neither a letter nor a quote (`+`, `1e3e4`, `*x*`) is a symbol
 _NUMBER = re.compile(r"[+-]?(?:(\d+)|(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_new = object.__new__
 
 
 class ParseError(ValueError):
@@ -37,7 +40,10 @@ def _error(message: str, text: str, index: int) -> ParseError:
 
 def read_sexpr(text: str):
     """Parse exactly one expression from `text`."""
-    tokens = _TOKENS.findall(text)
+    if '"' in text:
+        tokens = _TOKENS.findall(text)
+    else:
+        tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     opens = []  # token indexes of the unclosed "(", innermost last
     outer = []  # items of the enclosing unclosed lists, innermost last
     items = []
@@ -52,7 +58,10 @@ def read_sexpr(text: str):
                 raise _error("unbalanced close paren", text, index)
             value = NIL
             for item in reversed(items):
-                value = Cons(item, value)
+                pair = _new(Cons)
+                pair.car = item
+                pair.cdr = value
+                value = pair
             opens.pop()
             items = outer.pop()
         elif token[0].isalpha():

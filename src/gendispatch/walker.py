@@ -4,11 +4,12 @@ on it that reports unused bindings and unbound variable references.
 A walk keeps all its state in the Environment passed along with each form,
 so walks are independent, even one started from inside another's method.
 The walk_*_form functions are the walk function's method bodies: each takes
-the arguments (form, environment, context), the context being the tuple of
-the form and the forms enclosing it, and an unused next-method call.  So the
-walker recurses through two frames per nesting level: the walk function and
-one walk_*_form function, in whose frame a lambda or let scope is opened and
-closed.
+the arguments (form, environment, link), the link being the pair (form, parent
+link) or None above the root, and an unused next-method call; a Diagnostic's
+context is a link made into the tuple of a form and the forms enclosing it.
+So the walker recurses through two frames per nesting level: the walk function
+and one walk_*_form function, in whose frame a lambda or let scope is opened
+and closed.
 """
 
 from __future__ import annotations
@@ -136,20 +137,29 @@ class Environment:
         self.walk = walk
 
 
-def _close_scope(env: Environment, stack, anchor: int):
+def _context(link) -> tuple:
+    """The forms a link names, innermost first."""
+    forms = []
+    while link is not None:
+        form, link = link
+        forms.append(form)
+    return tuple(forms)
+
+
+def _close_scope(env: Environment, link, anchor: int):
     """Unbind the innermost frame and report its names never used.  Reports
     are inserted at `anchor`, so that a scope's own diagnostics precede those
     from inside its body.  The body loop stays in the caller: a helper owning
     it would add a frame per nesting level."""
     frame = env.frames.pop()
     env.out[anchor:anchor] = [
-        Diagnostic(UNUSED_BINDING, name, stack) for name, used in frame.items() if not used
+        Diagnostic(UNUSED_BINDING, name, _context(link)) for name, used in frame.items() if not used
     ]
 
 
-def _malformed(expr, env: Environment, stack):
+def _malformed(expr, env: Environment, link):
     head = expr.car if isinstance(expr, Cons) and isinstance(expr.car, Symbol) else intern("?")
-    env.out.append(Diagnostic(MALFORMED_FORM, head, stack))
+    env.out.append(Diagnostic(MALFORMED_FORM, head, _context(link)))
 
 
 def _proper_elements(expr):
@@ -163,64 +173,63 @@ def _proper_elements(expr):
 
 def walk_lambda_form(args, _next):
     # (lambda (param...) body...)
-    expr, env, stack = args
+    expr, env, link = args
     parts = _proper_elements(expr)
     if parts is None or len(parts) < 2:
-        _malformed(expr, env, stack)
+        _malformed(expr, env, link)
         return
     params = _proper_elements(parts[1])
-    if params is None or not all(isinstance(p, Symbol) and p is not NIL for p in params):
-        _malformed(expr, env, stack)
+    for p in params or ():
+        if not isinstance(p, Symbol) or p is NIL:
+            params = None
+    if params is None:
+        _malformed(expr, env, link)
         return
     walk = env.walk
     anchor = len(env.out)
     env.frames.append(dict.fromkeys(params, False))
     try:
         for form in parts[2:]:
-            walk(form, env, (form,) + stack)
+            walk(form, env, (form, link))
     finally:
-        _close_scope(env, stack, anchor)
+        _close_scope(env, link, anchor)
 
 
 def walk_let_form(args, _next):
     # (let ((name init)...) body...); inits are walked in the outer scope
-    expr, env, stack = args
+    expr, env, link = args
     parts = _proper_elements(expr)
     if parts is None or len(parts) < 2:
-        _malformed(expr, env, stack)
+        _malformed(expr, env, link)
         return
     bindings = _proper_elements(parts[1])
     if bindings is None:
-        _malformed(expr, env, stack)
+        _malformed(expr, env, link)
         return
     names = []
     inits = []
     for b in bindings:
-        entry = _proper_elements(b)
-        if (
-            entry is None
-            or len(entry) != 2
-            or not isinstance(entry[0], Symbol)
-            or entry[0] is NIL
-        ):
-            _malformed(expr, env, stack)
+        # a proper two-element list headed by a symbol other than NIL
+        if not (isinstance(b, Cons) and isinstance(b.car, Symbol) and b.car is not NIL
+                and isinstance(b.cdr, Cons) and b.cdr.cdr is NIL):
+            _malformed(expr, env, link)
             return
-        names.append(entry[0])
-        inits.append(entry[1])
+        names.append(b.car)
+        inits.append(b.cdr.car)
     walk = env.walk
     anchor = len(env.out)
     for init in inits:
-        walk(init, env, (init,) + stack)
+        walk(init, env, (init, link))
     env.frames.append(dict.fromkeys(names, False))
     try:
         for form in parts[2:]:
-            walk(form, env, (form,) + stack)
+            walk(form, env, (form, link))
     finally:
-        _close_scope(env, stack, anchor)
+        _close_scope(env, link, anchor)
 
 
 def walk_symbol_form(args, _next):
-    expr, env, stack = args
+    expr, env, link = args
     if expr is NIL:
         # the empty list is self-evaluating, not a variable reference
         return
@@ -228,22 +237,22 @@ def walk_symbol_form(args, _next):
         if expr in frame:
             frame[expr] = True
             return
-    env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, stack))
+    env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, _context(link)))
 
 
 def walk_call_form(args, _next):
     # a symbol head names a function and is not a variable reference; any
     # other head is itself a form to walk
-    expr, env, stack = args
+    expr, env, link = args
     parts = _proper_elements(expr)
     if parts is None:
-        _malformed(expr, env, stack)
+        _malformed(expr, env, link)
         return
     if isinstance(parts[0], Symbol):
         del parts[0]
     walk = env.walk
     for form in parts:
-        walk(form, env, (form,) + stack)
+        walk(form, env, (form, link))
 
 
 def walk_atom_form(args, _next):
@@ -264,7 +273,7 @@ class Walker:
 
     def check_form(self, form) -> list[Diagnostic]:
         env = Environment(self.gf)
-        self.gf(form, env, (form,))
+        self.gf(form, env, (form, None))
         return env.out
 
     def check_source(self, text: str) -> list[Diagnostic]:

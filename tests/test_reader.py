@@ -10,6 +10,8 @@ import pytest
 
 from gendispatch import NIL, Cons, ParseError, Symbol, cons_list, format_value, intern, iter_list, read_sexpr
 
+from gendispatch.reader import _TOKENS
+
 from conftest import oracle_read_sexpr
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -192,6 +194,33 @@ def test_fuzzed_text_reads_as_the_oracle_reads_it() -> None:
         list, int, float, str, Symbol, type(NIL),
         "empty input", "trailing garbage after expression", "unbalanced close paren",
         "unterminated list opened", "unterminated string opened",
+    }
+
+
+def test_quote_free_fuzzed_text_reads_as_the_oracle_reads_it() -> None:
+    # text without a quote takes its tokens from str.split, which must cut
+    # where the regex does: at ASCII and Unicode whitespace, including the
+    # separators \x1c-\x1f, U+2028 and U+3000, and around every paren
+    alphabet = list("()\\+-.eE1aB") + [
+        "\t", "\n", " ", "\xa0", "\x85", "\u0663", "\u00b2", "\x1c", "\x1f", "\u2028", "\u3000",
+    ]
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(100_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        expected = outcome(oracle_read_sexpr, text)
+        assert outcome(read_sexpr, text) == expected, text
+        assert text.replace("(", " ( ").replace(")", " ) ").split() == _TOKENS.findall(text), text
+        if isinstance(expected, list):
+            seen.add(list)
+        else:
+            seen.add(expected[0] if isinstance(expected[0], type) else expected[0].partition(" (at")[0])
+    # every kind of value but the string, and every error but the over-long
+    # integer and the unterminated string, came up
+    assert seen == {
+        list, int, float, Symbol, type(NIL),
+        "empty input", "trailing garbage after expression", "unbalanced close paren",
+        "unterminated list opened",
     }
 
 

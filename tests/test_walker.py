@@ -28,6 +28,7 @@ from gendispatch import (
     read_sexpr,
     walk_check,
 )
+from gendispatch.bench import StandardWalker, monolithic_check
 from gendispatch.walker import UNBOUND_VARIABLE, UNUSED_BINDING, Environment
 
 from conftest import WALKER_FIXTURES, diagnostic_pairs, value_kinds
@@ -279,3 +280,54 @@ def test_walker_agrees_with_the_benchmark_generator() -> None:
                     assert d.kind == UNUSED_BINDING
                     assert d.context[0].car in scopes
                     assert d.variable in _bound_names(d.context[0])
+
+
+def _is_direct_subform(child, parent) -> bool:
+    # an element of the parent list, or the init of one of a let form's bindings
+    elements = list(iter_list(parent))
+    if any(e is child for e in elements):
+        return True
+    return parent.car is intern("let") and any(b.cdr.car is child for b in iter_list(elements[1]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(f " * 300 + "x" + ")" * 300,
+        "(lambda (x) " * 300 + "x" + ")" * 300,
+        "(let ((x 1)) " * 300 + "x" + ")" * 300,
+        "(let ((x " * 300 + "y" + ")) x)" * 300,
+    ],
+    ids=["call", "lambda", "let-body", "let-init"],
+)
+def test_deep_diagnostic_contexts_chain_direct_subforms(text) -> None:
+    form = read_sexpr(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)  # two frames per level, whatever the runner's depth
+    try:
+        diagnostics = Walker().check_form(form)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(len(d.context) for d in diagnostics) >= 299
+    for d in diagnostics:
+        assert type(d.context) is tuple
+        assert d.context[-1] is form
+        for child, parent in zip(d.context, d.context[1:]):
+            assert _is_direct_subform(child, parent)
+
+
+def test_generated_program_contexts_chain_direct_subforms() -> None:
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(PERFBENCH)
+    checks = (Walker().check_form, StandardWalker().check_form, monolithic_check)
+    for text, _ in inputs.walk_inputs(random.Random(23), 300):
+        form = read_sexpr(text)
+        for check in checks:
+            for d in check(form):
+                assert type(d.context) is tuple
+                assert d.context[-1] is form
+                for child, parent in zip(d.context, d.context[1:]):
+                    assert _is_direct_subform(child, parent)
