@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from gendispatch import NIL, Cons, ParseError, Symbol, cons_list, format_value, intern, iter_list, read_sexpr
-
 from gendispatch.reader import _TOKENS
 
 from conftest import oracle_read_sexpr

@@ -282,12 +282,17 @@ def test_walker_agrees_with_the_benchmark_generator() -> None:
                     assert d.variable in _bound_names(d.context[0])
 
 
-def _is_direct_subform(child, parent) -> bool:
-    # an element of the parent list, or the init of one of a let form's bindings
-    elements = list(iter_list(parent))
-    if any(e is child for e in elements):
-        return True
-    return parent.car is intern("let") and any(b.cdr.car is child for b in iter_list(elements[1]))
+def _assert_contexts_chain_to(root, diagnostics) -> None:
+    # each context is a tuple ending at the root, and each of its forms is an
+    # element of the next one, or the init of one of that let form's bindings
+    for d in diagnostics:
+        assert type(d.context) is tuple
+        assert d.context[-1] is root
+        for child, parent in zip(d.context, d.context[1:]):
+            elements = list(iter_list(parent))
+            assert any(e is child for e in elements) or (
+                parent.car is intern("let") and any(b.cdr.car is child for b in iter_list(elements[1]))
+            )
 
 
 @pytest.mark.parametrize(
@@ -309,11 +314,7 @@ def test_deep_diagnostic_contexts_chain_direct_subforms(text) -> None:
     finally:
         sys.setrecursionlimit(limit)
     assert max(len(d.context) for d in diagnostics) >= 299
-    for d in diagnostics:
-        assert type(d.context) is tuple
-        assert d.context[-1] is form
-        for child, parent in zip(d.context, d.context[1:]):
-            assert _is_direct_subform(child, parent)
+    _assert_contexts_chain_to(form, diagnostics)
 
 
 def test_generated_program_contexts_chain_direct_subforms() -> None:
@@ -326,8 +327,4 @@ def test_generated_program_contexts_chain_direct_subforms() -> None:
     for text, _ in inputs.walk_inputs(random.Random(23), 300):
         form = read_sexpr(text)
         for check in checks:
-            for d in check(form):
-                assert type(d.context) is tuple
-                assert d.context[-1] is form
-                for child, parent in zip(d.context, d.context[1:]):
-                    assert _is_direct_subform(child, parent)
+            _assert_contexts_chain_to(form, check(form))
