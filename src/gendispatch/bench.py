@@ -95,12 +95,13 @@ def fact_oracle(n: int) -> int:
 def make_fact_standard(cache: str = "auto") -> GenericFunction:
     """Factorial as a plain class-dispatched generic function."""
     fact = GenericFunction("fact", 1, cache=cache)
+    recurse = fact.discriminating_function
 
     def body(args, _next):
         n = args[0]
         if n == 0:
             return 1
-        return n * fact(n - 1)
+        return n * recurse(n - 1)
 
     fact.add_method(Method([ClassSpecializer(CLASSES["integer"])], body))
     return fact

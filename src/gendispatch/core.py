@@ -206,6 +206,7 @@ class GenericFunction:
         self.methods: list[Method] = []
         self._cache: dict = {}
         self._methods_changed()
+        self.discriminating_function = _discriminating_function(weakref.ref(self), name)
 
     def __repr__(self):
         return "#<%s-generic-function %s/%d>" % (self.kind, self.name, self.nargs)
@@ -393,31 +394,10 @@ class GenericFunction:
     # -- the discriminating function
 
     def __call__(self, *args):
-        if len(args) != self.nargs:
-            raise TypeError("%s expects %d arguments, got %d" % (self.name, self.nargs, len(args)))
-        # fast path: one discriminating position, bare key, warm cache
-        if self._single is not None:
-            i = self._single
-            g = self.generalizer_of(args[i], i)
-            entry = self._cache.get(g)
-            if entry is not None:
-                body, next_call = entry
-                return body(args, next_call)
-            return self._dispatch(args, (g,), g)
-        # a comprehension here would make self and args cells, slowing every call
-        key = ()
-        for i in self._dispatch_positions:
-            key += (self.generalizer_of(args[i], i),)
-        if self.cache_mode == "none":
-            return self._dispatch(args, key, None)
-        entry = self._cache.get(key)
-        if entry is not None:
-            body, next_call = entry
-            return body(args, next_call)
-        return self._dispatch(args, key, key)
+        return self.discriminating_function(*args)
 
     def invoke(self, args):
-        return self.__call__(*args)
+        return self.discriminating_function(*args)
 
     def _dispatch(self, args, key, cache_key):
         """Cache-miss path: select from the key tuple (one generalizer per
@@ -441,6 +421,45 @@ class GenericFunction:
             raise NoApplicableMethod(self, args)
         # not cached: the generalizer key does not determine this outcome
         return self.compute_effective_method(methods)(args)
+
+
+def _discriminating_function(ref, name):
+    """What calling the generic function `ref` refers to runs: generalizers,
+    a cache probe, then the effective method.  It is a plain function, which
+    CPython calls more cheaply than an instance with a Python __call__, so a
+    method body that recurses calls it directly.  It reads the function's
+    dispatch state on every call, so it stays valid across method changes and
+    sees each flush; it holds the function weakly, so a method body or cache
+    entry that keeps it does not keep the function alive."""
+
+    def discriminating_function(*args):
+        self = ref()
+        if self is None:
+            raise ReferenceError("the generic function %s no longer exists" % name)
+        if len(args) != self.nargs:
+            raise TypeError("%s expects %d arguments, got %d" % (self.name, self.nargs, len(args)))
+        # fast path: one discriminating position, bare key, warm cache
+        if self._single is not None:
+            i = self._single
+            g = self.generalizer_of(args[i], i)
+            entry = self._cache.get(g)
+            if entry is not None:
+                body, next_call = entry
+                return body(args, next_call)
+            return self._dispatch(args, (g,), g)
+        # a comprehension here would make self and args cells, slowing every call
+        key = ()
+        for i in self._dispatch_positions:
+            key += (self.generalizer_of(args[i], i),)
+        if self.cache_mode == "none":
+            return self._dispatch(args, key, None)
+        entry = self._cache.get(key)
+        if entry is not None:
+            body, next_call = entry
+            return body(args, next_call)
+        return self._dispatch(args, key, key)
+
+    return discriminating_function
 
 
 def _bind(body, next_call):

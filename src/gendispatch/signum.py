@@ -83,13 +83,14 @@ class SignumGenericFunction(GenericFunction):
 def make_fact(cache: str = "auto") -> SignumGenericFunction:
     """The factorial generic function: (signum 0) => 1, (signum 1) => n*(n-1)!."""
     fact = SignumGenericFunction("fact", 1, cache=cache)
+    recurse = fact.discriminating_function
 
     def base_case(args, _next):
         return 1
 
     def general_case(args, _next):
         n = args[0]
-        return n * fact(n - 1)
+        return n * recurse(n - 1)
 
     fact.add_method(Method([SignumSpecializer(0)], base_case))
     fact.add_method(Method([SignumSpecializer(1)], general_case))

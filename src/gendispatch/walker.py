@@ -272,7 +272,7 @@ class Walker:
         gf.add_method(Method([ANY, ANY, ANY], walk_atom_form))
 
     def check_form(self, form) -> list[Diagnostic]:
-        env = Environment(self.gf)
+        env = Environment(self.gf.discriminating_function)
         self.gf(form, env, (form, None))
         return env.out
 
