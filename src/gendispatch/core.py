@@ -13,6 +13,12 @@ Every generalizer's `next` is the class generalizer it refines, through which
 core alone decides class and eql specializers and orders class specializers;
 everything else, including standard method combination and effective-method
 caching, is shared.
+Calling a generic function, gf(...), calls its discriminating function,
+gf.discriminating_function: one plain function per generic function that
+computes the generalizers, probes the cache and runs the effective method.
+A method body that recurses should call the discriminating function directly,
+as CPython calls a plain function more cheaply than an instance whose class
+defines __call__, and without a C-level call per level of recursion.
 """
 
 from __future__ import annotations
@@ -193,6 +199,7 @@ class GenericFunction:
     `cache` is one of "auto" (single bare key when exactly one argument
     position discriminates, else a key tuple), "list" (always a tuple), or
     "none" (a key tuple that selects methods but is never memoized).
+    Calling it, or invoke, runs its discriminating_function.
     """
 
     kind = "standard"
@@ -424,13 +431,10 @@ class GenericFunction:
 
 
 def _discriminating_function(ref, name):
-    """What calling the generic function `ref` refers to runs: generalizers,
-    a cache probe, then the effective method.  It is a plain function, which
-    CPython calls more cheaply than an instance with a Python __call__, so a
-    method body that recurses calls it directly.  It reads the function's
-    dispatch state on every call, so it stays valid across method changes and
-    sees each flush; it holds the function weakly, so a method body or cache
-    entry that keeps it does not keep the function alive."""
+    """The discriminating function of the generic function `ref` refers to.
+    It reads that function's dispatch state on every call, so it stays valid
+    across method changes and sees each flush, and it holds the function
+    weakly, so a method body that keeps it does not keep the function alive."""
 
     def discriminating_function(*args):
         self = ref()

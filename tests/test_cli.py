@@ -124,6 +124,14 @@ def test_fact_300_fits_the_recursion_limit() -> None:
     assert result.stdout == "%d\n" % fact_oracle(300)
 
 
+def test_fact_440_fits_the_recursion_limit() -> None:
+    # the method body recurses through the discriminating function, a plain
+    # function, so no level makes a C-level instance call
+    result = run_cli("fact", "440")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "%d\n" % fact_oracle(440)
+
+
 def test_walk_220_deep_fits_the_recursion_limit(tmp_path) -> None:
     path = tmp_path / "deep.sexp"
     path.write_text("(f " * 220 + "x" + ")" * 220)
@@ -160,6 +168,25 @@ def test_walk_320_deep_forms_fit_the_recursion_limit(form, stdout, tmp_path) -> 
     # two frames per nesting level: the walk function and the form's body
     path = tmp_path / "deep.sexp"
     path.write_text(form * 320 + "x" + ")" * 320)
+    result = run_cli("walk", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout
+
+
+@pytest.mark.parametrize(
+    "form, stdout",
+    [
+        ("(f ", "unbound-variable x\n"),
+        ("(lambda (x) ", "unused-binding x\n" * 439),
+        ("(let ((x 1)) ", "unused-binding x\n" * 439),
+    ],
+    ids=["call", "lambda", "let"],
+)
+def test_walk_440_deep_forms_fit_the_recursion_limit(form, stdout, tmp_path) -> None:
+    # subforms are walked through the discriminating function, a plain
+    # function, so no level makes a C-level instance call
+    path = tmp_path / "deep.sexp"
+    path.write_text(form * 440 + "x" + ")" * 440)
     result = run_cli("walk", str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout == stdout

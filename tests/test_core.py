@@ -17,6 +17,7 @@ from gendispatch import (
     ClassRegistry,
     ClassSpecializer,
     Cons,
+    DispatchError,
     EqlSpecializer,
     GenericFunction,
     Instance,
@@ -499,3 +500,52 @@ def test_a_cached_empty_outcome_does_not_keep_its_function_alive() -> None:
     finally:
         if enabled:
             gc.enable()
+
+
+def test_the_discriminating_function_is_one_object_across_method_changes() -> None:
+    gf = GenericFunction("f", 1)
+    df = gf.discriminating_function
+    m = gf.add_method(Method([cls_spec("integer")], tagged("integer")))
+    assert gf.discriminating_function is df
+    assert df(1) == "integer"
+    gf.remove_method(m)
+    assert gf.discriminating_function is df
+    with pytest.raises(NoApplicableMethod):
+        df(1)
+
+
+def _call_outcome(call, args):
+    try:
+        return call(*args)
+    except DispatchError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("mode", ["auto", "list", "none"])
+def test_the_discriminating_function_returns_what_calling_the_function_does(mode) -> None:
+    # two copies of one random configuration, one called through its
+    # discriminating function, the other as gf(...): same results, and the
+    # same bodies run in the same order
+    rng = random.Random(1313)
+    for _ in range(150):
+        seed = rng.getrandbits(32)
+        trace, reference_trace = [], []
+        gf, arglists = random_config(random.Random(seed), cache=mode, calls=8, trace=trace)
+        reference, _ = random_config(random.Random(seed), cache=mode, calls=8, trace=reference_trace)
+        df = gf.discriminating_function
+        for args in arglists:
+            assert _call_outcome(df, args) == _call_outcome(reference, args)
+        assert trace == reference_trace
+
+
+def test_a_discriminating_function_outliving_its_function_names_it() -> None:
+    # it holds its function weakly, so a caller that keeps only the
+    # discriminating function gets an error that says what is gone
+    gf = GenericFunction("lost", 1)
+    gf.add_method(Method([ANY], tagged("any")))
+    df = gf.discriminating_function
+    assert df(1) == "any"
+    del gf
+    gc.collect()
+    with pytest.raises(ReferenceError, match="generic function lost"):
+        df(1)

@@ -156,3 +156,23 @@ def test_fact_works_without_a_cache() -> None:
     fact = make_fact(cache="none")
     assert fact(10) == fact_oracle(10)
     assert fact._cache == {}
+
+
+def test_fact_recursion_sees_methods_added_after_make_fact() -> None:
+    # the method bodies recurse through the discriminating function taken
+    # when fact was made; it reads the method set on every call
+    fact = make_fact()
+    recurse = fact.discriminating_function
+    assert recurse(5) == 120
+    with pytest.raises(NoApplicableMethod):
+        recurse(-3)
+    negative = fact.add_method(Method([SignumSpecializer(-1)], lambda args, _next: "negative"))
+    assert recurse(-3) == "negative"
+    assert recurse(5) == 120
+    three = fact.add_method(Method([EqlSpecializer(3)], lambda args, _next: 100))
+    assert fact(5) == 5 * 4 * 100
+    fact.remove_method(three)
+    fact.remove_method(negative)
+    assert fact(5) == 120
+    with pytest.raises(NoApplicableMethod):
+        recurse(-3)
