@@ -5,13 +5,15 @@ Parsing is total: elements that do not parse are dropped.  Quality values are
 exact decimals (at most three fractional digits), never floats: dispatch
 ranks on (type, subtype, q in thousandths) tuples, and only
 parse_accept_header builds Fractions, for its public view.  The header is
-lower-cased once; one regex match per element gives its range and q.
+lower-cased once, and one findall of the element grammar over it gives each
+element's range and q.
 
 Dispatch depends on a header only through the client's preference order over
 the media types the function's methods name, so that order, not the header
 text, is the generalizer and the cache key: every spelling of one preference
 shares one cache entry.  A per-function match table maps each range that can
-match the function's media types to them, so ranking is one probe per range.
+match the function's media types to them, so ranking is one probe per range,
+and a per-function grammar parses only the types and subtypes in that table.
 A bounded per-function memo maps header text to its generalizer, so a
 repeated header is not parsed again.
 """
@@ -28,15 +30,17 @@ from .core import Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
 _MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
-# one element of a lower-cased header: type/subtype (a type of * needs a
-# subtype of *), then parameters; the first named q must hold a valid q value
-# (group 3), and what follows it is ignored.  \s is what str.strip removes
-_ELEMENT = re.compile(
-    r"\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;]|\Z)))(%s)\s*/\s*(%s)\s*"
-    r"(?:;(?!\s*q\s*(?:[=;]|\Z))[^;]*)*"
-    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;]*)*)?" % (_TOKEN, _TOKEN)
-).fullmatch
-
+# one element of a lower-cased header, from \A or a comma to before the next
+# comma or \Z, with type and subtype patterns in the % slots: type/subtype (a
+# type of * needs a subtype of *), then parameters; the first named q must hold
+# a valid q value (group 3), and what follows it is ignored.  Other elements
+# are swallowed whole, with empty groups.  \s is what str.strip removes
+_GRAMMAR = (
+    r"(?:\A|,)(?:\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;,]|\Z)))(%s)\s*/\s*(%s)\s*"
+    r"(?:;(?!\s*q\s*(?:[=;,]|\Z))[^;,]*)*"
+    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;,]*)*)?(?=,|\Z)|[^,]*)"
+)
+_FIND_RANGES = re.compile(_GRAMMAR % (_TOKEN, _TOKEN)).findall
 
 MediaRange = namedtuple("MediaRange", ["type", "subtype", "q"])
 AcceptTree = namedtuple("AcceptTree", ["ranges"])
@@ -47,15 +51,12 @@ def _media_ranges(header: str) -> list:
     """(type, subtype, q in thousandths) per well-formed element, in header
     order.  Malformed elements are dropped, a missing q means 1000, and
     parameters other than q are ignored."""
-    ranges = []
-    for element in header.lower().split(","):
-        m = _ELEMENT(element)
-        if m is not None:
-            type_, subtype, q = m.groups()
-            # q is "0" or "1", then maybe a point and up to three digits
-            q = 1000 if q is None or q[0] == "1" else int(q[2:].ljust(3, "0"))
-            ranges.append((type_, subtype, q))
-    return ranges
+    return [(t, s, _thousandths(q)) for t, s, q in _FIND_RANGES(header.lower()) if t]
+
+
+def _thousandths(q: str) -> int:
+    # q is "" (missing), or "0" or "1", then maybe a point and up to three digits
+    return 1000 if not q or q[0] == "1" else int(q[2:].ljust(3, "0"))
 
 
 def parse_accept_header(header: str) -> AcceptTree:
@@ -176,6 +177,14 @@ class AcceptGenericFunction(GenericFunction):
         self._matches = matches
         self._generalizers = {}  # (ranks, next) -> the interned generalizer
         self._memo = {}  # (header, next) -> generalizer
+        self._find = None  # the table's own grammar, compiled on the next miss
+
+    def _compile_find(self):
+        # only the table's types and subtypes, * among them, parse: the regex
+        # engine swallows elements that name other ranges without parsing them
+        alternatives = ("|".join(sorted({re.escape(key[i]) for key in self._matches})) for i in (0, 1))
+        self._find = re.compile(_GRAMMAR % tuple(alternatives)).findall
+        return self._find
 
     def generalizer_of(self, arg, position: int = 0):
         # the default's probe, inlined, as in walker.py: every call runs this
@@ -190,14 +199,14 @@ class AcceptGenericFunction(GenericFunction):
             matches = self._matches
             qs = [0] * len(self._media_index)
             specificities = qs[:]
-            for type_, subtype, q in _media_ranges(header):
+            for type_, subtype, q in (self._find or self._compile_find())(header.lower()):
                 specificity, indexes = matches.get((type_, subtype), (0, ()))
                 for i in indexes:
                     if specificity > specificities[i]:
                         specificities[i] = specificity
-                        qs[i] = q
+                        qs[i] = _thousandths(q)
             higher = sorted(set(qs), reverse=True)
-            ranks = tuple(higher.index(q) + 1 if q else 0 for q in qs)
+            ranks = tuple([higher.index(q) + 1 if q else 0 for q in qs])
             g = self._generalizers.get((ranks, next_generalizer))
             if g is None:
                 g = AcceptGeneralizer(ranks, next_generalizer)

@@ -52,7 +52,7 @@ Response = namedtuple("Response", ["status", "content_type", "body"])
 def format_response(response: Response) -> bytes:
     head = "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n" % (
         response.status,
-        _REASONS[response.status],
+        _REASONS.get(response.status, ""),  # the reason phrase may be empty (RFC 9112 4)
         response.content_type,
         len(response.body),
     )

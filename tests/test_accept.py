@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -385,29 +386,39 @@ def assert_parses_like_the_oracle(header: str) -> None:
     assert _media_ranges(header) == [(t, s, int(q * 1000)) for t, s, q in expected], header
 
 
-@pytest.mark.parametrize(
-    "header",
-    [
-        "*/html", "*/*", "* / *", "*/ *x", "**/html", "*x/html", "a/b/c", " text / html ", "text/",
-        "/html", "texthtml", "te xt/html", "text/ht ml", "TEXT/HTML", "Text/*;Q=0.5",
-        "text/html;q=0.5;q=0.1", "text/html;level=1;q=0.5", "text/html;q=0.5;level=1",
-        "text/html;q=0.5;garbage=;;=", "text/html;level=1;q=abc", "text/html;q=0.5=1",
-        "text/html;q", "text/html;q;level=1", "text/html; q x=1", "text/html;qx=1",
-        "text/html;q=", "text/html;q=1.0001", "text/html;q=.5", "text/html; Q = 0.\u0665",
-        "text/html;q=0.\u0665\u0665\u0665", "text/html;q=1.\u0660", "text/\u212a", "\u212a/html",
-        "text/\u0130", "\u0130mage/png", "text/html;\u212a=1;q=0.2", "text/html;q=0.2;\u0130",
-        ",,text/html,,", "text/html;", "text/html ;", "text/html\n;q=0.5\n", "text/html;q=0.5\n",
-        'text/html;x="a,b";q=0.5', "text/html;x=\"a;q=0.1\";q=0.5", "",
-    ],
-)
+EDGE_CASES = [
+    "*/html", "*/*", "* / *", "*/ *x", "**/html", "*x/html", "a/b/c", " text / html ", "text/",
+    "/html", "texthtml", "te xt/html", "text/ht ml", "TEXT/HTML", "Text/*;Q=0.5",
+    "text/html;q=0.5;q=0.1", "text/html;level=1;q=0.5", "text/html;q=0.5;level=1",
+    "text/html;q=0.5;garbage=;;=", "text/html;level=1;q=abc", "text/html;q=0.5=1",
+    "text/html;q", "text/html;q;level=1", "text/html; q x=1", "text/html;qx=1",
+    "text/html;q=", "text/html;q=1.0001", "text/html;q=.5", "text/html; Q = 0.\u0665",
+    "text/html;q=0.\u0665\u0665\u0665", "text/html;q=1.\u0660", "text/\u212a", "\u212a/html",
+    "text/\u0130", "\u0130mage/png", "text/html;\u212a=1;q=0.2", "text/html;q=0.2;\u0130",
+    ",,text/html,,", "text/html;", "text/html ;", "text/html\n;q=0.5\n", "text/html;q=0.5\n",
+    'text/html;x="a,b";q=0.5', "text/html;x=\"a;q=0.1\";q=0.5", "",
+]
+
+
+@pytest.mark.parametrize("header", EDGE_CASES)
 def test_one_pass_parser_agrees_with_the_oracle_on_edge_cases(header) -> None:
     assert_parses_like_the_oracle(header)
 
 
+# each blank between every token of one element, and around a later element
+BLANK_HEADERS = [
+    header
+    for c in WHITESPACE + NOT_WHITESPACE
+    for header in (
+        c + "text" + c + "/" + c + "html" + c + ";" + c + "q" + c + "=" + c + "0.5" + c,
+        "text/html;q=0.5" + c + ";level=1," + c + "*/*" + c,
+    )
+]
+
+
 def test_one_pass_parser_agrees_with_the_oracle_on_every_blank() -> None:
-    for c in WHITESPACE + NOT_WHITESPACE:
-        assert_parses_like_the_oracle(c + "text" + c + "/" + c + "html" + c + ";" + c + "q" + c + "=" + c + "0.5" + c)
-        assert_parses_like_the_oracle("text/html;q=0.5" + c + ";level=1," + c + "*/*" + c)
+    for header in BLANK_HEADERS:
+        assert_parses_like_the_oracle(header)
 
 
 FUZZ_TYPES = ["text", "text", "application", "image", "*", "*", "**", "te xt", "", "a/b", 'x"y', "\u212aind", "\u0130mage"]
@@ -491,3 +502,70 @@ def test_match_table_ranks_equal_dense_ranks_from_quality() -> None:
             gf.add_method(Method([AcceptSpecializer(extra)], lambda args, _next: extra))
             for header in headers:
                 assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types + [extra]), header
+
+
+def fuzz_header(rng: random.Random) -> str:
+    return ",".join(fuzz_element(rng) for _ in range(rng.randint(0, 4)))
+
+
+# media types whose names hold regex metacharacters, and kind/x and kind/k,
+# which the Kelvin sign (U+212A) spells too: it lower-cases to an ASCII k
+GRAMMAR_MEDIA_TYPES = [
+    ["text/html", "application/xml", "text/plain"],
+    ["application/xhtml+xml", "application/vnd.api+json", "text/x-c++", "text/html"],
+    ["kind/x", "kind/k", "image/png"],
+    ["text/x-c++", "text/x-c"],
+]
+GRAMMAR_HEADERS = [
+    "\u212aind/x", "\u212aIND/X;q=0.5, kind/k;q=0.7", "text/\u212a, \u212aind/*;q=0.3", "kind/x;q=0.2, \u212aind/\u212a",
+    "application/xhtml+xml;q=0.9, application/vnd.api+json", "application/xhtmlxxml, application/vnd.apixjson",
+    "text/x-c++;q=0.4, text/x-c;q=0.6", "text/x-cxx, text/x-c+, text/*;q=0.1", "TEXT/X-C++ ; Q = 0.5 , */*;q=0.01",
+]
+
+
+def assert_ranks_match_the_oracle(gf, media_types, headers) -> None:
+    for header in headers:
+        assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types), (media_types, header)
+
+
+def test_per_function_grammar_ranks_agree_with_the_oracle() -> None:
+    # each function parses only its own types and subtypes; what it skips
+    # must never change a rank, before or after its methods change
+    rng = random.Random(1403)
+    headers = [fuzz_header(rng) for _ in range(3000)] + EDGE_CASES + BLANK_HEADERS + GRAMMAR_HEADERS
+    for media_types in GRAMMAR_MEDIA_TYPES:
+        gf = make_negotiator(media_types)
+        assert_ranks_match_the_oracle(gf, media_types, headers)
+        extra = next(t for t in ("text/x-c++", "kind/x") if t not in media_types)
+        method = gf.add_method(Method([AcceptSpecializer(extra)], lambda args, _next: extra))
+        assert_ranks_match_the_oracle(gf, media_types + [extra], headers)
+        gf.remove_method(method)
+        assert_ranks_match_the_oracle(gf, media_types, headers)
+    # a function with only class methods ranks nothing
+    gf = AcceptGenericFunction("f", 1)
+    gf.add_method(Method([ClassSpecializer(CLASSES["string"])], lambda args, _next: "string"))
+    assert_ranks_match_the_oracle(gf, [], headers[:200] + GRAMMAR_HEADERS)
+
+
+# 64 KiB each: runs of spaces, commas, semicolons, ;q then blanks, one long
+# parameter, and repeated valid elements
+HOSTILE_HEADERS = [
+    " " * 65536,
+    "text" + " " * 65527 + "/html",
+    "," * 65536,
+    ("text/html" + ";" * 65536)[:65536],
+    ("text/html;q" + " " * 65536)[:65536],
+    ("text/html;level=" + "a" * 65536)[:65536],
+    ("text/html;q=0.5, " * 4096)[:65536],
+]
+
+
+@pytest.mark.parametrize("header", HOSTILE_HEADERS, ids=["spaces", "spaced-range", "commas", "semicolons", "q-blanks", "long-parameter", "repeated"])
+def test_hostile_headers_parse_in_linear_time(header) -> None:
+    # each takes milliseconds; backtracking that grew with the length would
+    # take far longer than the generous bound
+    gf = make_negotiator(["text/html", "application/xml", "text/plain"])
+    for parse in (gf.generalizer_of, parse_accept_header):
+        start = time.perf_counter()
+        parse(header)
+        assert time.perf_counter() - start < 0.5

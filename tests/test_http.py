@@ -168,6 +168,24 @@ def test_server_over_a_real_socket() -> None:
     assert not thread.is_alive()
 
 
+def test_any_status_is_framed_and_the_server_keeps_serving() -> None:
+    # a status without a known reason phrase gets an empty one
+    assert format_response(Response(404, "text/plain", b"")).startswith(b"HTTP/1.1 404 \r\n")
+    not_found = Response(404, "text/plain", b"not found\n")
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, lambda request: not_found, 2), daemon=True)
+    thread.start()
+    try:
+        for _ in range(2):
+            out = fetch(port, request_bytes("text/plain"))
+            assert out == b"HTTP/1.1 404 \r\nContent-Type: text/plain\r\nContent-Length: 10\r\n\r\nnot found\n"
+    finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize(
     "drip_bytes",
     # one byte every 0.2 s, never a whole head: about 13 s in all, far longer
