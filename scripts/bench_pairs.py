@@ -33,7 +33,6 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRING = "one parent run and one change run per seed; the side that runs first alternates from pair to pair"
 
 
 def benchmark(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict:
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "benchmark": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
         "each side in its own checkout (git archive of the commit)" % args.seconds,
-        "pairing": PAIRING,
+        "pairing": "one parent run and one change run per seed; the side that runs first alternates from pair to pair",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "python": platform.python_version(),

@@ -451,11 +451,15 @@ def fuzz_element(rng: random.Random) -> str:
     return "".join(fuzz_blank(rng) + fuzz_case(rng, part) for part in parts) + fuzz_blank(rng)
 
 
+def fuzz_header(rng: random.Random) -> str:
+    return ",".join(fuzz_element(rng) for _ in range(rng.randint(0, 4)))
+
+
 def test_one_pass_parser_agrees_with_the_oracle_on_fuzzed_headers() -> None:
     rng = random.Random(2024)
     parsed = qs = 0
     for _ in range(4000):
-        header = ",".join(fuzz_element(rng) for _ in range(rng.randint(0, 4)))
+        header = fuzz_header(rng)
         assert_parses_like_the_oracle(header)
         expected = oracle_media_ranges(header)
         parsed += len(expected)
@@ -502,10 +506,6 @@ def test_match_table_ranks_equal_dense_ranks_from_quality() -> None:
             gf.add_method(Method([AcceptSpecializer(extra)], lambda args, _next: extra))
             for header in headers:
                 assert gf.generalizer_of(header).ranks == oracle_ranks(header, media_types + [extra]), header
-
-
-def fuzz_header(rng: random.Random) -> str:
-    return ",".join(fuzz_element(rng) for _ in range(rng.randint(0, 4)))
 
 
 # media types whose names hold regex metacharacters, and kind/x and kind/k,
