@@ -2,13 +2,14 @@
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --slug NAME \\
         --claim "what improves, and why" --claimed negotiate-distinct:throughput_ops_s \\
-        --pairs negotiate-distinct:1301-1310 --pairs fact:1401-1403 --seconds 25
+        --pairs negotiate-distinct:1301-1310 --pairs fact:1401-1403
 
 Each revision is extracted with `git archive` into its own temporary
 directory, and `perfbench/run.py --trace 0` runs there, against that
-checkout's own src/.  A pair is one parent run and one change run on the same
-workload and seed; the side that runs first alternates from pair to pair, so
-a slow phase of a shared machine does not fall on one side only.  The file is
+checkout's own src/, for BENCHMARK.json's run_seconds.  A pair is one parent
+run and one change run on the same workload and seed; the side that runs
+first alternates from pair to pair, so a slow phase of a shared machine does
+not fall on one side only.  The file is
 rewritten after every pair, so an interrupted recording keeps the pairs it
 finished.
 
@@ -109,7 +110,9 @@ def git(*args) -> bytes:
 
 def extract(sha: str, directory: str) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-        tar.extractall(directory, filter="data")
+        # extraction filters came with 3.10.12 and 3.11.4; the archive is this
+        # repository's own, so older releases extract it unfiltered
+        tar.extractall(directory, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -129,11 +132,11 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True, help="the claim, in words")
     parser.add_argument("--claimed", required=True, help="workload:metric that the claim is about")
     parser.add_argument("--pairs", required=True, action="append", type=parse_pairs, help="workload:seeds, repeatable")
-    parser.add_argument("--seconds", type=float, default=benchmark()["run_seconds"], help="per run (default: BENCHMARK.json's)")
     parser.add_argument("--machine", default=platform.platform(), help="a description of the machine")
     args = parser.parse_args(argv)
 
     metrics = end_to_end_metrics()
+    seconds = benchmark()["run_seconds"]
     claimed_workload, _, claimed_metric = args.claimed.partition(":")
     claimed_seeds = [seeds for workload, seeds in args.pairs if workload == claimed_workload]
     if claimed_metric not in metrics or not claimed_seeds:
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
     record = {
         "claim": args.claim,
         "benchmark": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
-        "each side in its own checkout (git archive of the commit)" % args.seconds,
+        "each side in its own checkout (git archive of the commit)" % seconds,
         "pairing": "one parent run and one change run per seed; the side that runs first alternates from pair to pair",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
@@ -163,7 +166,7 @@ def main(argv=None) -> int:
             for seed in seeds:
                 first = ("parent", "change")[pair % 2]
                 for side in (first, "change" if first == "parent" else "parent"):
-                    result = run_once(checkouts[side], workload, seed, args.seconds)
+                    result = run_once(checkouts[side], workload, seed, seconds)
                     record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": first, "result": result})
                 pair += 1
                 record["summary"] = summarize(record["runs"], metrics)

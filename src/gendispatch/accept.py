@@ -5,8 +5,7 @@ Parsing is total: elements that do not parse are dropped.  Quality values are
 exact decimals (at most three fractional digits), never floats: dispatch
 ranks on (type, subtype, q in thousandths) tuples, and only
 parse_accept_header builds Fractions, for its public view.  The header is
-lower-cased once, and one findall of the element grammar over it gives each
-element's range and q.
+lower-cased once; one findall over it gives each element's range and q.
 
 Dispatch depends on a header only through the client's preference order over
 the media types the function's methods name, so that order, not the header
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
 
 from .model import Request, class_of
 from .core import _EXACT_GENERALIZERS, ClassGeneralizer, Generalizer, GenericFunction
@@ -180,8 +179,7 @@ class AcceptGenericFunction(GenericFunction):
         self._find = None  # the table's own grammar, compiled on the next miss
 
     def _compile_find(self):
-        # only the table's types and subtypes, * among them, parse: the regex
-        # engine swallows elements that name other ranges without parsing them
+        # only the table's ranges parse; the engine swallows other elements unparsed
         alternatives = ("|".join(sorted({re.escape(key[i]) for key in self._matches})) for i in (0, 1))
         self._find = re.compile(_GRAMMAR % tuple(alternatives)).findall
         return self._find
@@ -255,10 +253,13 @@ def _constantly(value):
     return body
 
 
+_negotiator = lru_cache(maxsize=64)(make_negotiator)  # by media-type tuple, so its grammar compiles once
+
+
 def negotiate(header: str, media_types) -> str | None:
     """Pick the most acceptable of `media_types` for an Accept header, or
     None when nothing is acceptable."""
-    gf = make_negotiator(media_types)
+    gf = _negotiator(tuple(media_types))
     try:
         return gf(header)
     except NoApplicableMethod:

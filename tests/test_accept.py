@@ -25,7 +25,7 @@ from gendispatch import (
     parse_accept_header,
     quality,
 )
-from gendispatch.accept import MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges
+from gendispatch.accept import MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
 from gendispatch.httpd import make_responder, respond
 
 from conftest import invoke_outcome, oracle_media_ranges, random_config, random_header
@@ -186,6 +186,17 @@ def test_negotiate_examples() -> None:
 def test_wildcard_ties_fall_back_to_definition_order() -> None:
     assert negotiate("*/*", ["text/html", "text/plain"]) == "text/html"
     assert negotiate("*/*", ["text/plain", "text/html"]) == "text/plain"
+
+
+def test_negotiate_reuses_one_negotiator_per_media_type_list() -> None:
+    # a negotiator compiles its grammar on its first miss, so negotiate keeps
+    # one per tuple of media types rather than building one per call
+    types = ["text/html", "application/xml"]
+    gf = _negotiator(tuple(types))
+    assert negotiate("application/xml", types) == "application/xml"
+    assert negotiate("text/html, application/xml;q=0.5", list(types)) == "text/html"
+    assert _negotiator(tuple(types)) is gf
+    assert {"application/xml", "text/html, application/xml;q=0.5"} <= {header for header, _ in gf._memo}
 
 
 def test_negotiator_mixes_with_class_methods() -> None:

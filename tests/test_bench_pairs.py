@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -83,3 +84,13 @@ def test_summary_reproduces_a_recorded_file(name) -> None:
     claimed = record["claimed"]
     entry = record["summary"][claimed["workload"]]
     assert bench_pairs.claim_met(entry, claimed["metric"], metrics[claimed["metric"]]) == claimed["met"]
+
+
+def test_extract_writes_a_revision_into_a_directory(tmp_path) -> None:
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("the tests run outside a git checkout")
+    bench_pairs.extract("HEAD", str(tmp_path))
+    with open(tmp_path / "BENCHMARK.json") as f:
+        assert json.load(f) == bench_pairs.benchmark()
+    assert (tmp_path / "perfbench" / "run.py").is_file()
+    assert (tmp_path / "src" / "gendispatch" / "accept.py").is_file()
