@@ -32,12 +32,13 @@ _MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
 # one element of a lower-cased header, from \A or a comma to before the next
 # comma or \Z, with type and subtype patterns in the % slots: type/subtype (a
 # type of * needs a subtype of *), then parameters; the first named q must hold
-# a valid q value (group 3), and what follows it is ignored.  Other elements
-# are swallowed whole, with empty groups.  \s is what str.strip removes
+# a valid q value (group 3), and what follows it is ignored.  Other non-empty
+# elements are swallowed whole, with empty groups, and empty ones match
+# nothing.  \s is what str.strip removes
 _GRAMMAR = (
     r"(?:\A|,)(?:\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;,]|\Z)))(%s)\s*/\s*(%s)\s*"
     r"(?:;(?!\s*q\s*(?:[=;,]|\Z))[^;,]*)*"
-    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;,]*)*)?(?=,|\Z)|[^,]*)"
+    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;,]*)*)?(?=,|\Z)|[^,]+)"
 )
 _FIND_RANGES = re.compile(_GRAMMAR % (_TOKEN, _TOKEN)).findall
 

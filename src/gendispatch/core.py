@@ -13,18 +13,18 @@ Every generalizer's `next` is the class generalizer it refines, through which
 core alone decides class and eql specializers and orders class specializers;
 everything else, including standard method combination and effective-method
 caching, is shared.
-Calling a generic function, gf(...), calls its discriminating function,
-gf.discriminating_function: one plain function per generic function that
-computes the generalizers, probes the cache and runs the effective method.
-A method body that recurses should call the discriminating function directly,
-as CPython calls a plain function more cheaply than an instance whose class
-defines __call__, and without a C-level call per level of recursion.
+Calling a generic function, gf(...), calls gf.discriminating_function: one
+plain function per generic function, compiled once per arity, whose fixed
+positional-only parameters let CPython run a call from a method body inside
+the caller's interpreter loop, with no C-level call per level of recursion.
+It computes the generalizers, probes the cache and runs the effective method;
+a method body that recurses should call it directly.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from .model import _EXACT_CLASS_OF, CLASSES, ClassRef, class_of, eql, format_value, subclass_p
 
@@ -213,7 +213,7 @@ class GenericFunction:
         self.methods: list[Method] = []
         self._cache: dict = {}
         self._methods_changed()
-        self.discriminating_function = _discriminating_function(weakref.ref(self), name)
+        self.discriminating_function = _discriminating_function(self)
 
     def __repr__(self):
         return "#<%s-generic-function %s/%d>" % (self.kind, self.name, self.nargs)
@@ -406,6 +406,19 @@ class GenericFunction:
     def invoke(self, args):
         return self.discriminating_function(*args)
 
+    def _discriminate(self, args):
+        """The discriminating function's path for a key tuple of generalizers."""
+        # a comprehension here would make self and args cells
+        key = ()
+        for i in self._dispatch_positions:
+            key += (self.generalizer_of(args[i], i),)
+        if self.cache_mode == "none":
+            return self._dispatch(args, key, None)
+        entry = self._cache.get(key)
+        if entry is None:
+            return self._dispatch(args, key, key)
+        return entry[0](args, entry[1])
+
     def _dispatch(self, args, key, cache_key):
         """Cache-miss path: select from the key tuple (one generalizer per
         dispatch position), combine, and memoize under cache_key when
@@ -430,40 +443,44 @@ class GenericFunction:
         return self.compute_effective_method(methods)(args)
 
 
-def _discriminating_function(ref, name):
-    """The discriminating function of the generic function `ref` refers to.
-    It reads that function's dispatch state on every call, so it stays valid
-    across method changes and sees each flush, and it holds the function
-    weakly, so a method body that keeps it does not keep the function alive."""
+# only the single-position hit path is in this frame, with no unpacked
+# locals: a small frame fills the interpreter's frame-stack chunks later
+_DISCRIMINATING_FUNCTION = """\
+def discriminating_function(%s):
+    args = (%s)
+    self = ref()
+    if self is None:
+        raise ReferenceError("the generic function %%s no longer exists" %% name)
+    i = self._single
+    if i is None:
+        return self._discriminate(args)
+    g = self.generalizer_of(args[i], i)
+    entry = self._cache.get(g)
+    if entry is None:
+        return self._dispatch(args, (g,), g)
+    return entry[0](args, entry[1])
+"""
 
-    def discriminating_function(*args):
-        self = ref()
-        if self is None:
-            raise ReferenceError("the generic function %s no longer exists" % name)
-        if len(args) != self.nargs:
-            raise TypeError("%s expects %d arguments, got %d" % (self.name, self.nargs, len(args)))
-        # fast path: one discriminating position, bare key, warm cache
-        if self._single is not None:
-            i = self._single
-            g = self.generalizer_of(args[i], i)
-            entry = self._cache.get(g)
-            if entry is not None:
-                body, next_call = entry
-                return body(args, next_call)
-            return self._dispatch(args, (g,), g)
-        # a comprehension here would make self and args cells, slowing every call
-        key = ()
-        for i in self._dispatch_positions:
-            key += (self.generalizer_of(args[i], i),)
-        if self.cache_mode == "none":
-            return self._dispatch(args, key, None)
-        entry = self._cache.get(key)
-        if entry is not None:
-            body, next_call = entry
-            return body(args, next_call)
-        return self._dispatch(args, key, key)
 
-    return discriminating_function
+@cache
+def _discriminating_code(nargs):
+    """The code of a discriminating function of `nargs` positional-only
+    parameters, compiled once per arity, as namedtuple builds its __new__."""
+    names = "".join("a%d, " % i for i in range(nargs))
+    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names)
+    return compile(source, "<discriminating function/%d>" % nargs, "exec")
+
+
+def _discriminating_function(gf):
+    """The discriminating function of `gf`.  It reads gf's dispatch state on
+    every call, so it stays valid across method changes and sees each flush,
+    and it holds gf weakly, so a method body that keeps it does not keep gf
+    alive."""
+    namespace = {"ref": weakref.ref(gf), "name": gf.name}
+    exec(_discriminating_code(gf.nargs), namespace)
+    function = namespace["discriminating_function"]
+    function.__qualname__ = gf.name  # so a wrong argument count names gf
+    return function
 
 
 def _bind(body, next_call):

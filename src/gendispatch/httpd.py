@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import socket
 import time
+import traceback
 from collections import namedtuple
 
 from .model import Request
@@ -16,7 +17,7 @@ from .accept import AcceptGenericFunction, AcceptSpecializer, _constantly
 MAX_HEADER_BYTES = 65536
 REQUEST_SECONDS = 5.0  # to send the whole request head, however it is dripped
 
-_REASONS = {200: "OK", 400: "Bad Request", 406: "Not Acceptable"}
+_REASONS = {200: "OK", 400: "Bad Request", 406: "Not Acceptable", 500: "Internal Server Error"}
 
 
 class HttpParseError(ValueError):
@@ -66,6 +67,7 @@ _PAGES = [
 ]
 _NOT_ACCEPTABLE = Response(406, "text/plain", b"not acceptable\n")
 _BAD_REQUEST = Response(400, "text/plain", b"bad request\n")
+_INTERNAL_ERROR = Response(500, "text/plain", b"internal server error\n")
 
 
 def make_responder(cache: str = "auto") -> AcceptGenericFunction:
@@ -127,15 +129,20 @@ def _read_request(conn: socket.socket) -> bytes:
 
 
 def serve_forever(sock: socket.socket, responder=None, max_requests: int | None = None):
-    """Accept loop: one request per connection, sequentially.  A request
-    limit is only used by tests."""
+    """Accept loop: one request per connection, sequentially.  A responder
+    that raises gets its client a 500.  A request limit is only used by tests."""
     handled = 0
     while max_requests is None or handled < max_requests:
         conn, _addr = sock.accept()
         try:
             raw = _read_request(conn)
             if raw:
-                conn.sendall(handle_raw(raw, responder))
+                try:
+                    response = handle_raw(raw, responder)
+                except Exception:  # a failing responder must not stop the server
+                    traceback.print_exc()
+                    response = format_response(_INTERNAL_ERROR)
+                conn.sendall(response)
         except OSError:
             pass  # a dropped connection must not stop the server
         finally:

@@ -25,7 +25,7 @@ from gendispatch import (
     parse_accept_header,
     quality,
 )
-from gendispatch.accept import MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
+from gendispatch.accept import _FIND_RANGES, MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
 from gendispatch.httpd import make_responder, respond
 
 from conftest import invoke_outcome, oracle_media_ranges, random_config, random_header
@@ -385,6 +385,15 @@ def test_all_refused_order_is_cached_and_raises_for_each_spelling() -> None:
     assert len(gf._cache) == 1
 
 
+@pytest.mark.parametrize("header", ["", ",", "," * 5, ",text/html", "text/html,", "text/html,,,text/plain"])
+def test_empty_elements_yield_nothing(header) -> None:
+    # an empty element is not one more match of empty groups, so a header of
+    # commas costs findall no tuple per comma
+    gf = make_negotiator(["text/html", "text/plain"])
+    for find in (_FIND_RANGES, gf._compile_find()):
+        assert all(t for t, _, _ in find(header)), header
+
+
 # every character str.strip removes, and some it keeps that look blank
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 NOT_WHITESPACE = ["\u200b", "\ufeff", "\u180e"]
@@ -406,7 +415,8 @@ EDGE_CASES = [
     "text/html;q=", "text/html;q=1.0001", "text/html;q=.5", "text/html; Q = 0.\u0665",
     "text/html;q=0.\u0665\u0665\u0665", "text/html;q=1.\u0660", "text/\u212a", "\u212a/html",
     "text/\u0130", "\u0130mage/png", "text/html;\u212a=1;q=0.2", "text/html;q=0.2;\u0130",
-    ",,text/html,,", "text/html;", "text/html ;", "text/html\n;q=0.5\n", "text/html;q=0.5\n",
+    ",,text/html,,", ",", ",,", ",text/html", "text/html,", "text/html,,text/plain", " , ,",
+    "text/html;", "text/html ;", "text/html\n;q=0.5\n", "text/html;q=0.5\n",
     'text/html;x="a,b";q=0.5', "text/html;x=\"a;q=0.1\";q=0.5", "",
 ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import itertools
 import random
 import weakref
@@ -523,19 +524,43 @@ def _call_outcome(call, args):
 
 @pytest.mark.parametrize("mode", ["auto", "list", "none"])
 def test_the_discriminating_function_returns_what_calling_the_function_does(mode) -> None:
-    # two copies of one random configuration, one called through its
-    # discriminating function, the other as gf(...): same results, and the
-    # same bodies run in the same order
+    # three copies of one random configuration, one called through its
+    # discriminating function, one as gf(...) and one through invoke: same
+    # results, and the same bodies run in the same order
     rng = random.Random(1313)
     for _ in range(150):
         seed = rng.getrandbits(32)
-        trace, reference_trace = [], []
+        trace, reference_trace, invoke_trace = [], [], []
         gf, arglists = random_config(random.Random(seed), cache=mode, calls=8, trace=trace)
         reference, _ = random_config(random.Random(seed), cache=mode, calls=8, trace=reference_trace)
+        invoked, _ = random_config(random.Random(seed), cache=mode, calls=8, trace=invoke_trace)
         df = gf.discriminating_function
         for args in arglists:
-            assert _call_outcome(df, args) == _call_outcome(reference, args)
-        assert trace == reference_trace
+            expected = _call_outcome(reference, args)
+            assert _call_outcome(df, args) == expected
+            assert _call_outcome(lambda *a: invoked.invoke(a), args) == expected
+        assert trace == reference_trace == invoke_trace
+
+
+@pytest.mark.parametrize("nargs", range(5))
+def test_the_discriminating_function_takes_exactly_its_arguments_positionally(nargs) -> None:
+    # a fixed arity, not *args, so that CPython can run a call from a method
+    # body in the caller's interpreter loop; the signature checks the count
+    gf = GenericFunction("sized", nargs)
+    gf.add_method(Method([ANY] * nargs, lambda args, _next: args))
+    df = gf.discriminating_function
+    code = df.__code__
+    assert code.co_argcount == code.co_posonlyargcount == nargs
+    assert not code.co_flags & inspect.CO_VARARGS
+    assert df(*range(nargs)) == tuple(range(nargs))
+    for wrong in (nargs - 1, nargs + 1):
+        if wrong >= 0:
+            with pytest.raises(TypeError, match=r"^sized\(\) (takes|missing)"):
+                df(*range(wrong))
+            with pytest.raises(TypeError, match=r"^sized\(\) (takes|missing)"):
+                gf(*range(wrong))
+    with pytest.raises(TypeError, match=r"^sized\(\) got"):
+        df(*range(nargs - 1), **{"a%d" % max(nargs - 1, 0): 0})
 
 
 def test_a_discriminating_function_outliving_its_function_names_it() -> None:

@@ -186,6 +186,52 @@ def test_any_status_is_framed_and_the_server_keeps_serving() -> None:
     assert not thread.is_alive()
 
 
+def test_a_raising_responder_gets_a_500_and_the_server_keeps_serving() -> None:
+    calls = []
+
+    def raising(request):
+        calls.append(request)
+        if len(calls) == 1:
+            raise ValueError("responder bug")
+        return respond(make_responder(), request)
+
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, raising, 2), daemon=True)
+    thread.start()
+    try:
+        out = fetch(port, request_bytes("text/plain"))
+        assert out == format_response(Response(500, "text/plain", b"internal server error\n"))
+        assert out.startswith(b"HTTP/1.1 500 Internal Server Error\r\n")
+        out = fetch(port, request_bytes("text/plain"))
+        assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert out.endswith(b"hello\n")
+    finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+    assert len(calls) == 2
+
+
+def test_an_interrupt_in_the_responder_still_stops_the_server() -> None:
+    def interrupted(request):
+        raise KeyboardInterrupt
+
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    replies = []
+    client = threading.Thread(target=lambda: replies.append(fetch(port, request_bytes("text/plain"))), daemon=True)
+    client.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            serve_forever(sock, interrupted, 2)
+    finally:
+        client.join(timeout=5)
+        sock.close()
+    assert not client.is_alive()
+    assert replies == [b""]  # the connection was closed without a reply
+
+
 @pytest.mark.parametrize(
     "drip_bytes",
     # one byte every 0.2 s, never a whole head: about 13 s in all, far longer
