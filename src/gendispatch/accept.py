@@ -33,8 +33,7 @@ _MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
 # comma or \Z, with type and subtype patterns in the % slots: type/subtype (a
 # type of * needs a subtype of *), then parameters; the first named q must hold
 # a valid q value (group 3), and what follows it is ignored.  Other non-empty
-# elements are swallowed whole, with empty groups, and empty ones match
-# nothing.  \s is what str.strip removes
+# elements are swallowed whole, with empty groups.  \s is what str.strip removes
 _GRAMMAR = (
     r"(?:\A|,)(?:\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;,]|\Z)))(%s)\s*/\s*(%s)\s*"
     r"(?:;(?!\s*q\s*(?:[=;,]|\Z))[^;,]*)*"

@@ -476,7 +476,7 @@ def _discriminating_function(gf):
     every call, so it stays valid across method changes and sees each flush,
     and it holds gf weakly, so a method body that keeps it does not keep gf
     alive."""
-    namespace = {"ref": weakref.ref(gf), "name": gf.name}
+    namespace = {"__name__": __name__, "ref": weakref.ref(gf), "name": gf.name}
     exec(_discriminating_code(gf.nargs), namespace)
     function = namespace["discriminating_function"]
     function.__qualname__ = gf.name  # so a wrong argument count names gf
