@@ -75,7 +75,7 @@ def test_pair_specs_parse() -> None:
         bench_pairs.parse_pairs("fact:x")
 
 
-@pytest.mark.parametrize("name", ["BENCH_discriminating_function.json", "BENCH_walk_op.json"])
+@pytest.mark.parametrize("name", ["BENCH_discriminating_function.json", "BENCH_walk_op.json", "BENCH_discriminating_arity.json"])
 def test_summary_reproduces_a_recorded_file(name) -> None:
     with open(os.path.join(ROOT, name)) as f:
         record = json.load(f)
