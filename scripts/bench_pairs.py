@@ -4,6 +4,9 @@
         --claim "what improves, and why" --claimed negotiate-distinct:throughput_ops_s \\
         --pairs negotiate-distinct:1301-1310 --pairs fact:1401-1403
 
+--claim and --claimed are optional: without --claimed the record's `claimed`
+is null, as for a change that claims no gain and only checks that it held.
+
 Each revision is extracted with `git archive` into its own temporary
 directory, and `perfbench/run.py --trace 0` runs there, against that
 checkout's own src/, for BENCHMARK.json's run_seconds.  A pair is one parent
@@ -124,23 +127,31 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, with `claimed` made into the record's claimed entry,
+    or None when no metric is claimed."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the revision measured before")
     parser.add_argument("--change", required=True, help="the revision measured after")
     parser.add_argument("--slug", required=True, help="writes BENCH_<slug>.json at the repository root")
-    parser.add_argument("--claim", required=True, help="the claim, in words")
-    parser.add_argument("--claimed", required=True, help="workload:metric that the claim is about")
+    parser.add_argument("--claim", help="the claim, in words")
+    parser.add_argument("--claimed", help="workload:metric that the claim is about")
     parser.add_argument("--pairs", required=True, action="append", type=parse_pairs, help="workload:seeds, repeatable")
     parser.add_argument("--machine", default=platform.platform(), help="a description of the machine")
     args = parser.parse_args(argv)
+    if args.claimed is not None:
+        workload, _, metric = args.claimed.partition(":")
+        seeds = [seeds for w, seeds in args.pairs if w == workload]
+        if metric not in end_to_end_metrics() or not seeds:
+            parser.error("--claimed must name an end-to-end metric of a workload given to --pairs")
+        args.claimed = {"workload": workload, "metric": metric, "seeds": seeds[0], "met": False}
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     metrics = end_to_end_metrics()
     seconds = benchmark()["run_seconds"]
-    claimed_workload, _, claimed_metric = args.claimed.partition(":")
-    claimed_seeds = [seeds for workload, seeds in args.pairs if workload == claimed_workload]
-    if claimed_metric not in metrics or not claimed_seeds:
-        parser.error("--claimed must name an end-to-end metric of a workload given to --pairs")
     shas = {side: git("rev-parse", rev + "^{commit}").decode().strip() for side, rev in (("parent", args.parent), ("change", args.change))}
     record = {
         "claim": args.claim,
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": args.machine,
-        "claimed": {"workload": claimed_workload, "metric": claimed_metric, "seeds": claimed_seeds[0], "met": False},
+        "claimed": args.claimed,
         "summary": {},
         "runs": [],
     }
@@ -170,8 +181,10 @@ def main(argv=None) -> int:
                     record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": first, "result": result})
                 pair += 1
                 record["summary"] = summarize(record["runs"], metrics)
-                entry = record["summary"].get(claimed_workload)
-                record["claimed"]["met"] = entry is not None and claim_met(entry, claimed_metric, metrics[claimed_metric])
+                claimed = record["claimed"]
+                if claimed is not None:
+                    entry = record["summary"].get(claimed["workload"])
+                    claimed["met"] = entry is not None and claim_met(entry, claimed["metric"], metrics[claimed["metric"]])
                 with open(out, "w") as f:
                     json.dump(record, f, indent=1)
                     f.write("\n")

@@ -35,9 +35,9 @@ _MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
 # a valid q value (group 3), and what follows it is ignored.  Other non-empty
 # elements are swallowed whole, with empty groups.  \s is what str.strip removes
 _GRAMMAR = (
-    r"(?:\A|,)(?:\s*(?!\*\s*/\s*(?!\s|\*(?:[\s;,]|\Z)))(%s)\s*/\s*(%s)\s*"
+    r"(?:\A|,)\s*(?:(?!\*\s*/\s*(?!\s|\*(?:[\s;,]|\Z)))(%s)\s*/\s*(%s)\s*"
     r"(?:;(?!\s*q\s*(?:[=;,]|\Z))[^;,]*)*"
-    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;,]*)*)?(?=,|\Z)|[^,]+)"
+    r"(?:;\s*q\s*=\s*(0(?:\.\d{0,3})?|1(?:\.0{0,3})?)\s*(?:;[^;,]*)*)?(?=,|\Z)|[^,\s][^,]*)"
 )
 _FIND_RANGES = re.compile(_GRAMMAR % (_TOKEN, _TOKEN)).findall
 

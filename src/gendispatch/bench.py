@@ -92,9 +92,9 @@ def fact_oracle(n: int) -> int:
     return result
 
 
-def make_fact_standard(cache: str = "auto") -> GenericFunction:
+def make_fact_standard() -> GenericFunction:
     """Factorial as a plain class-dispatched generic function."""
-    fact = GenericFunction("fact", 1, cache=cache)
+    fact = GenericFunction("fact", 1)
     recurse = fact.discriminating_function
 
     def body(args, _next):
@@ -170,8 +170,8 @@ class StandardWalker(Walker):
     """The walker as a class-dispatched generic function with the walker's
     own form bodies; special forms are told apart inside the cons method."""
 
-    def __init__(self, cache: str = "auto"):
-        self.gf = GenericFunction("walk", 3, cache=cache)
+    def __init__(self):
+        self.gf = GenericFunction("walk", 3)
         self.gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], walk_symbol_form))
         self.gf.add_method(Method([ClassSpecializer(CLASSES["cons"]), ANY, ANY], _walk_cons))
         self.gf.add_method(Method([ANY, ANY, ANY], walk_atom_form))

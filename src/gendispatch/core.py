@@ -3,9 +3,10 @@
 Method selection is decoupled from argument classes through generalizers: a
 generalizer names the equivalence class of arguments that dispatch alike, and
 is itself the memoization key.  Equal generalizers must therefore be one
-object (the shipped ones are interned) or must hash and compare equal.  A
-miss selects and sorts methods from that same key: one generalizer per
-dispatch position, as the other positions hold only the universal specializer.
+object (class generalizers are interned, cons and Accept generalizers are kept
+one per function) or must hash and compare equal.  A miss selects and sorts
+methods from that same key: one generalizer per dispatch position, as the
+other positions hold only the universal specializer.
 Subclasses of GenericFunction extend dispatch by overriding the protocol
 methods (generalizer_of, specializer_accepts_generalizer, specializer_order)
 for their own specializer and generalizer kinds only.
@@ -100,8 +101,8 @@ ANY = ClassSpecializer(CLASSES["t"])
 
 
 class Generalizer:
-    """Names the set of arguments that dispatch identically.  `next` is the
-    class generalizer this one refines."""
+    """Names the set of arguments that dispatch identically, for the generic
+    function that made it.  `next` is the class generalizer this one refines."""
 
     __slots__ = ()
 

@@ -17,16 +17,8 @@ from __future__ import annotations
 from reprlib import recursive_repr
 
 from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
-from .core import (
-    _EXACT_GENERALIZERS,
-    ANY,
-    ClassGeneralizer,
-    ClassSpecializer,
-    Generalizer,
-    GenericFunction,
-    Method,
-    Specializer,
-)
+from .core import _EXACT_GENERALIZERS, ANY, ClassGeneralizer, ClassSpecializer, Generalizer
+from .core import GenericFunction, Method, Specializer
 from .reader import read_sexpr
 
 UNUSED_BINDING = "unused-binding"
@@ -36,6 +28,7 @@ MALFORMED_FORM = "malformed-form"
 _LAMBDA = intern("lambda")
 _LET = intern("let")
 _CONS_CLASS = CLASSES["cons"]
+_CONS_GENERALIZER = ClassGeneralizer(_CONS_CLASS)
 
 
 class ConsSpecializer(Specializer):
@@ -58,42 +51,42 @@ class ConsSpecializer(Specializer):
 
 
 class ConsGeneralizer(Generalizer):
-    """One per head symbol: constructing it again returns the same object.
-    `next` is the cons class generalizer."""
+    """Conses headed by one symbol that a cons specializer of the function
+    names; one per head per function.  `next` is the cons class generalizer."""
 
     __slots__ = ("car", "next")
 
-    def __new__(cls, car: Symbol):
-        g = _CONS_GENERALIZERS.get(car)
-        if g is None:
-            g = _CONS_GENERALIZERS[car] = super().__new__(cls)
-            g.car = car
-            g.next = ClassGeneralizer(_CONS_CLASS)
-        return g
+    def __init__(self, car: Symbol):
+        self.car = car
+        self.next = _CONS_GENERALIZER
 
     def __repr__(self):
         return "(cons-generalizer %s)" % self.car
 
 
-_CONS_GENERALIZERS: dict = {}
-
-
 class ConsGenericFunction(GenericFunction):
-    """Generic function whose dispatch can examine the car of a cons."""
+    """Generic function whose dispatch can examine the car of a cons.  Heads
+    no method names share the cons class generalizer, so they keep nothing."""
 
     kind = "cons"
 
+    def _methods_changed(self):
+        super()._methods_changed()
+        heads = (s.car for m in self.methods for s in m.specializers if isinstance(s, ConsSpecializer))
+        self._heads = {car: ConsGeneralizer(car) for car in heads}
+
     def generalizer_of(self, arg, position: int = 0):
         # the default's probe, inlined: the walker calls this once per form
-        if isinstance(arg, Cons) and isinstance(arg.car, Symbol):
-            return _CONS_GENERALIZERS.get(arg.car) or ConsGeneralizer(arg.car)
+        if isinstance(arg, Cons):
+            car = arg.car  # probed only if a symbol: a cons is unhashable
+            return self._heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
         return _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):
-            # this kind of generic function generalizes every symbol-headed
-            # cons to a ConsGeneralizer, so any other generalizer rules the
-            # specializer out
+            # this kind of generic function generalizes every cons whose head
+            # a cons specializer names to that head's ConsGeneralizer, so any
+            # other generalizer rules the specializer out
             return (isinstance(g, ConsGeneralizer) and s.car is g.car, True)
         return super().specializer_accepts_generalizer(s, g)
 

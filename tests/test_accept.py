@@ -385,10 +385,12 @@ def test_all_refused_order_is_cached_and_raises_for_each_spelling() -> None:
     assert len(gf._cache) == 1
 
 
-@pytest.mark.parametrize("header", ["", ",", "," * 5, ",text/html", "text/html,", "text/html,,,text/plain"])
+@pytest.mark.parametrize(
+    "header", ["", ",", "," * 5, ",text/html", "text/html,", "text/html,,,text/plain", " ,", "\t, ,", "text/html, ,text/plain"]
+)
 def test_empty_elements_yield_nothing(header) -> None:
-    # an empty element is not one more match of empty groups, so a header of
-    # commas costs findall no tuple per comma
+    # an empty or blank element is not one more match of empty groups, so a
+    # header of commas and blanks costs findall no tuple per comma
     gf = make_negotiator(["text/html", "text/plain"])
     for find in (_FIND_RANGES, gf._compile_find()):
         assert all(t for t, _, _ in find(header)), header

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import sys
@@ -31,7 +32,7 @@ from gendispatch import (
 from gendispatch.bench import StandardWalker, monolithic_check
 from gendispatch.walker import UNBOUND_VARIABLE, UNUSED_BINDING, Environment
 
-from conftest import WALKER_FIXTURES, diagnostic_pairs, value_kinds
+from conftest import WALKER_FIXTURES, _Cons, diagnostic_pairs, value_kinds
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -154,29 +155,83 @@ def test_walk_gf_generalizer_answers_are_definitive() -> None:
 
 def test_cons_generalizer_used_only_for_symbol_heads() -> None:
     gf = ConsGenericFunction("g", 1)
+    cons = ClassGeneralizer(CLASSES["cons"])
+    assert gf.generalizer_of(read_sexpr("(f 1)")) is cons  # no method names f yet
+    gf.add_method(Method([ConsSpecializer(intern("f"))], lambda args, _next: "f form"))
     g = gf.generalizer_of(read_sexpr("(f 1)"))
     assert isinstance(g, ConsGeneralizer)
     assert g.car is intern("f")
-    assert gf.generalizer_of(read_sexpr("(f 2 3)")) is g  # one per head symbol
-    assert gf.generalizer_of(read_sexpr("(h 1)")) is not g
-    assert g.next is ClassGeneralizer(CLASSES["cons"])
-    gf.add_method(Method([ConsSpecializer(intern("f"))], lambda args, _next: "f form"))
+    assert g.next is cons
+    assert gf.generalizer_of(read_sexpr("(f 2 3)")) is g  # one per named head
+    assert gf.generalizer_of(read_sexpr("(h 1)")) is cons
     assert gf(read_sexpr("(f)")) == "f form"
-    (key,) = gf._cache
-    assert key is g
-    g = gf.generalizer_of(cons_list(1, 2))
-    assert isinstance(g, ClassGeneralizer)
-    assert g.cls.name == "cons"
+    # a car that is no symbol, an unhashable cons included, is never probed
+    assert gf.generalizer_of(cons_list(1, 2)) is cons
+    assert gf.generalizer_of(cons_list(cons_list(intern("f")), 2)) is cons
 
 
 def test_walk_function_generalizes_cons_subclasses_by_head() -> None:
     gf = Walker().gf
-    for v in value_kinds():
-        if isinstance(v, Cons) and isinstance(v.car, Symbol):
-            assert gf.generalizer_of(v) is ConsGeneralizer(v.car), v
+    named = (intern("lambda"), intern("let"))
+    for v in value_kinds() + [_Cons(intern("let"), NIL), _Cons(intern("lambda"), NIL)]:
+        if isinstance(v, Cons) and any(v.car is head for head in named):
+            g = gf.generalizer_of(v)
+            assert isinstance(g, ConsGeneralizer) and g.car is v.car, v
+            assert gf.generalizer_of(cons_list(v.car)) is g, v
         else:
-            # the standard function's class generalizer
+            # the standard function's class generalizer: a head the walker's
+            # methods do not name, such as f, decides nothing
             assert gf.generalizer_of(v) is ClassGeneralizer(class_of(v)), v
+
+
+def test_heads_no_method_names_share_the_cons_class_generalizer() -> None:
+    cons = ClassGeneralizer(CLASSES["cons"])
+    for gf in (Walker().gf, ConsGenericFunction("g", 1)):
+        for text in ("(f)", "(g 1 2)", "(quote x)", "(nil)", "((lambda (x) x) 1)", "(1 . 2)"):
+            assert gf.generalizer_of(read_sexpr(text)) is cons, text
+
+
+def test_each_named_head_has_one_generalizer_per_function() -> None:
+    first, second = Walker().gf, Walker().gf
+    for head in ("lambda", "let"):
+        g = first.generalizer_of(read_sexpr("(%s ((x 1)) x)" % head))
+        assert isinstance(g, ConsGeneralizer) and g.car is intern(head)
+        assert first.generalizer_of(read_sexpr("(%s)" % head)) is g
+        assert first.generalizer_of(Cons(intern(head), 3)) is g
+        assert second.generalizer_of(read_sexpr("(%s)" % head)) is not g
+    assert first.generalizer_of(read_sexpr("(let)")) is not first.generalizer_of(read_sexpr("(lambda)"))
+
+
+@pytest.mark.parametrize("mode", ["auto", "list", "none"])
+def test_a_new_head_method_takes_its_forms_and_gives_them_back(mode) -> None:
+    walker = Walker(cache=mode)
+    form = read_sexpr("(quote x)")
+    cons = ClassGeneralizer(CLASSES["cons"])
+    assert diagnostic_pairs(walker.check_form(form)) == [("unbound-variable", "x")]
+    assert walker.gf.generalizer_of(form) is cons
+    method = walker.gf.add_method(Method([ConsSpecializer(intern("quote")), ANY, ANY], lambda args, _next: None))
+    assert walker.gf.generalizer_of(form).car is intern("quote")
+    assert walker.check_form(form) == []
+    assert walker.check_form(form) == []
+    assert diagnostic_pairs(walker.check_source("(f y)")) == [("unbound-variable", "y")]
+    walker.gf.remove_method(method)
+    assert walker.gf.generalizer_of(form) is cons
+    assert diagnostic_pairs(walker.check_form(form)) == [("unbound-variable", "x")]
+    assert diagnostic_pairs(walker.check_form(form)) == [("unbound-variable", "x")]
+
+
+def test_walking_distinct_heads_leaves_no_generalizers_behind() -> None:
+    def live_cons_generalizers():
+        gc.collect()
+        return sum(isinstance(o, ConsGeneralizer) for o in gc.get_objects())
+
+    walker = Walker()
+    walker.check_source("(lambda (x) (let ((y x)) (f y)))")
+    before = live_cons_generalizers()
+    assert before >= 2  # the walker's own, for lambda and let
+    for i in range(10000):
+        assert walker.check_form(cons_list(intern("distinct-head-%d" % i), 1)) == []
+    assert live_cons_generalizers() <= before
 
 
 def test_cons_specializer_requires_a_symbol() -> None:
