@@ -27,8 +27,7 @@ MALFORMED_FORM = "malformed-form"
 
 _LAMBDA = intern("lambda")
 _LET = intern("let")
-_CONS_CLASS = CLASSES["cons"]
-_CONS_GENERALIZER = ClassGeneralizer(_CONS_CLASS)
+_CONS_GENERALIZER = ClassGeneralizer(CLASSES["cons"])
 
 
 class ConsSpecializer(Specializer):
@@ -261,7 +260,7 @@ class Walker:
         gf.add_method(Method([ConsSpecializer(_LAMBDA), ANY, ANY], walk_lambda_form))
         gf.add_method(Method([ConsSpecializer(_LET), ANY, ANY], walk_let_form))
         gf.add_method(Method([ClassSpecializer(CLASSES["symbol"]), ANY, ANY], walk_symbol_form))
-        gf.add_method(Method([ClassSpecializer(_CONS_CLASS), ANY, ANY], walk_call_form))
+        gf.add_method(Method([ClassSpecializer(CLASSES["cons"]), ANY, ANY], walk_call_form))
         gf.add_method(Method([ANY, ANY, ANY], walk_atom_form))
 
     def check_form(self, form) -> list[Diagnostic]:

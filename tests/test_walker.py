@@ -20,7 +20,6 @@ from gendispatch import (
     ConsSpecializer,
     Diagnostic,
     Method,
-    Symbol,
     Walker,
     class_of,
     cons_list,
