@@ -19,9 +19,8 @@ from .model import (
 )
 from .reader import ParseError, read_sexpr
 from .core import (
-    ANY, ClassGeneralizer, ClassSpecializer, DispatchError, EffectiveMethod, EqlSpecializer,
-    Generalizer, GenericFunction, Method, MethodNotFound, NoApplicableMethod, NoPrimaryMethod,
-    Specializer,
+    ANY, ClassSpecializer, DispatchError, EffectiveMethod, EqlSpecializer, Generalizer,
+    GenericFunction, Method, MethodNotFound, NoApplicableMethod, NoPrimaryMethod, Specializer,
 )
 
 # the package attribute `signum` is the function, so this import stays eager:
@@ -48,9 +47,9 @@ __all__ = [
     "class_of", "cons_list", "eql", "format_value", "intern", "iter_list", "read_sexpr",
     "subclass_p",
     # core
-    "ANY", "ClassGeneralizer", "ClassSpecializer", "DispatchError", "EffectiveMethod",
-    "EqlSpecializer", "Generalizer", "GenericFunction", "Method", "MethodNotFound",
-    "NoApplicableMethod", "NoPrimaryMethod", "Specializer",
+    "ANY", "ClassSpecializer", "DispatchError", "EffectiveMethod", "EqlSpecializer",
+    "Generalizer", "GenericFunction", "Method", "MethodNotFound", "NoApplicableMethod",
+    "NoPrimaryMethod", "Specializer",
     # signum
     "SignumGeneralizer", "SignumGenericFunction", "SignumSpecializer", "make_fact", "signum",
     # loaded on first access

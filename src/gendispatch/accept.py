@@ -23,8 +23,8 @@ import re
 from collections import namedtuple
 from functools import cache, lru_cache
 
-from .model import Request, class_of
-from .core import _EXACT_GENERALIZERS, ClassGeneralizer, Generalizer, GenericFunction
+from .model import _EXACT_CLASS_OF, ClassRef, Request, class_of
+from .core import Generalizer, GenericFunction
 from .core import Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
@@ -136,12 +136,12 @@ class AcceptGeneralizer(Generalizer):
     q=0) and otherwise 1 + the number of distinct higher qualities the header
     gives those media types.  Acceptance only asks whether q > 0 and ordering
     only compares two accepted qs, so the ranks decide both; `next` is the
-    class generalizer of the argument.  Interned per function, so it is its
-    own cache key, and it answers only for that function's specializers."""
+    class of the argument.  Interned per function, so it is its own cache
+    key, and it answers only for that function's specializers."""
 
     __slots__ = ("ranks", "next")
 
-    def __init__(self, ranks: tuple, next_generalizer: Generalizer):
+    def __init__(self, ranks: tuple, next_generalizer: ClassRef):
         self.ranks = ranks
         self.next = next_generalizer
 
@@ -186,7 +186,7 @@ class AcceptGenericFunction(GenericFunction):
 
     def generalizer_of(self, arg, position: int = 0):
         # the default's probe, inlined, as in walker.py: every call runs this
-        next_generalizer = _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
+        next_generalizer = _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
         header = _header_of(arg)
         if header is None:
             return next_generalizer

@@ -88,7 +88,7 @@ def _cmd_walk(path: str) -> int:
     from .walker import walk_check
 
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("cannot read %s: %s" % (path, exc), file=sys.stderr)

@@ -3,17 +3,17 @@
 Method selection is decoupled from argument classes through generalizers: a
 generalizer names the equivalence class of arguments that dispatch alike, and
 is itself the memoization key.  Equal generalizers must therefore be one
-object (class generalizers are interned, cons and Accept generalizers are kept
-one per function) or must hash and compare equal.  A miss selects and sorts
-methods from that same key: one generalizer per dispatch position, as the
-other positions hold only the universal specializer.
+object (a class is its own generalizer, and cons and Accept generalizers are
+kept one per function) or must hash and compare equal.  A miss selects and
+sorts methods from that same key: one generalizer per dispatch position, as
+the other positions hold only the universal specializer.
 Subclasses of GenericFunction extend dispatch by overriding the protocol
 methods (generalizer_of, specializer_accepts_generalizer, specializer_order)
 for their own specializer and generalizer kinds only.
-Every generalizer's `next` is the class generalizer it refines, through which
-core alone decides class and eql specializers and orders class specializers;
-everything else, including standard method combination and effective-method
-caching, is shared.
+Every generalizer's `next` is the class it refines (a class's is itself),
+through which core alone decides class and eql specializers and orders class
+specializers; everything else, including standard method combination and
+effective-method caching, is shared.
 Calling a generic function, gf(...), calls gf.discriminating_function: one
 plain function per generic function, compiled once per arity, whose fixed
 positional-only parameters let CPython run a call from a method body inside
@@ -102,34 +102,10 @@ ANY = ClassSpecializer(CLASSES["t"])
 
 class Generalizer:
     """Names the set of arguments that dispatch identically, for the generic
-    function that made it.  `next` is the class generalizer this one refines."""
+    function that made it.  `next` is the class this one refines.  A class
+    (ClassRef) is the class generalizer: its own `next` and cache key."""
 
     __slots__ = ()
-
-
-class ClassGeneralizer(Generalizer):
-    """One per class: constructing it again returns the same object.  A class
-    generalizer refines nothing further, so it is its own `next`."""
-
-    __slots__ = ("cls", "next")
-
-    def __new__(cls, class_ref: ClassRef):
-        g = _CLASS_GENERALIZERS.get(class_ref)
-        if g is None:
-            g = _CLASS_GENERALIZERS[class_ref] = super().__new__(cls)
-            g.cls = class_ref
-            g.next = g
-        return g
-
-    def __repr__(self):
-        return "(class-generalizer %s)" % self.cls.name
-
-
-_CLASS_GENERALIZERS: dict = {}
-
-# the class generalizer of each exact type class_of knows without a fallback,
-# so that the common case of generalizer_of is one dict probe
-_EXACT_GENERALIZERS = {t: ClassGeneralizer(c) for t, c in _EXACT_CLASS_OF.items()}
 
 
 class Method:
@@ -268,20 +244,20 @@ class GenericFunction:
     # -- dispatch protocol: extension points
 
     def generalizer_of(self, arg, position: int = 0) -> Generalizer:
-        """Generalizer of one argument; the default dispatches on its class.
+        """Generalizer of one argument; the default is its class.
         It is also the cache key, so equal generalizers must be one object."""
-        return _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
+        return _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
         caller back onto per-argument applicability for the actual call.
         Class and eql specializers see the argument as its class, g.next."""
         if isinstance(s, ClassSpecializer):
-            return (subclass_p(g.next.cls, s.cls), True)
+            return (subclass_p(g.next, s.cls), True)
         if isinstance(s, EqlSpecializer):
             # the class alone cannot separate the one eql object from the
             # rest of its class
-            return (False, class_of(s.obj) is not g.next.cls)
+            return (False, class_of(s.obj) is not g.next)
         return (False, False)
 
     def specializer_order(self, s1: Specializer, s2: Specializer, g: Generalizer) -> int:
@@ -296,7 +272,7 @@ class GenericFunction:
         if r1 != r2:
             return -1 if r1 < r2 else 1
         if isinstance(s1, ClassSpecializer) and isinstance(s2, ClassSpecializer):
-            cpl = g.next.cls.precedence_list
+            cpl = g.next.precedence_list
             i1 = cpl.index(s1.cls)
             i2 = cpl.index(s2.cls)
             return -1 if i1 < i2 else (1 if i1 > i2 else 0)

@@ -70,9 +70,9 @@ _BAD_REQUEST = Response(400, "text/plain", b"bad request\n")
 _INTERNAL_ERROR = Response(500, "text/plain", b"internal server error\n")
 
 
-def make_responder(cache: str = "auto") -> AcceptGenericFunction:
+def make_responder() -> AcceptGenericFunction:
     """The demo respond function: one method per served page."""
-    gf = AcceptGenericFunction("respond", 1, cache=cache)
+    gf = AcceptGenericFunction("respond", 1)
     for page in _PAGES:
         gf.add_method(Method([AcceptSpecializer(page.content_type)], _constantly(page)))
     return gf

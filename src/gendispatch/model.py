@@ -131,15 +131,17 @@ class LinearizationError(ClassGraphError):
 
 
 class ClassRef:
-    """A node in the class graph with its cached precedence list."""
+    """A node in the class graph with its cached precedence list.  It is also
+    its own class generalizer for dispatch: `next` is the class itself."""
 
-    __slots__ = ("name", "direct_superclasses", "precedence_list", "ancestors")
+    __slots__ = ("name", "direct_superclasses", "precedence_list", "ancestors", "next")
 
     def __init__(self, name: str, supers: tuple):
         self.name = name
         self.direct_superclasses = supers
         self.precedence_list = compute_precedence_list(self)
         self.ancestors = frozenset(self.precedence_list)
+        self.next = self
 
     def __repr__(self):
         return "<class %s>" % self.name

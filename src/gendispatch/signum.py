@@ -5,7 +5,7 @@ motivates it: one method for sign 0, one for sign 1.
 from __future__ import annotations
 
 from .model import class_of
-from .core import ClassGeneralizer, Generalizer, GenericFunction, Method, Specializer
+from .core import Generalizer, GenericFunction, Method, Specializer
 
 
 def signum(x):
@@ -51,7 +51,7 @@ class SignumGeneralizer(Generalizer):
 
     def __init__(self, value):
         self.value = value
-        self.next = ClassGeneralizer(class_of(value))
+        self.next = class_of(value)
 
     def __repr__(self):
         return "(signum-generalizer %s)" % (self.value,)

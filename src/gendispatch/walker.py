@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from reprlib import recursive_repr
 
-from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
-from .core import _EXACT_GENERALIZERS, ANY, ClassGeneralizer, ClassSpecializer, Generalizer
-from .core import GenericFunction, Method, Specializer
+from .model import _EXACT_CLASS_OF, CLASSES, NIL, Cons, Symbol, class_of, intern
+from .core import ANY, ClassSpecializer, Generalizer, GenericFunction, Method, Specializer
 from .reader import read_sexpr
 
 UNUSED_BINDING = "unused-binding"
@@ -27,7 +26,7 @@ MALFORMED_FORM = "malformed-form"
 
 _LAMBDA = intern("lambda")
 _LET = intern("let")
-_CONS_GENERALIZER = ClassGeneralizer(CLASSES["cons"])
+_CONS_GENERALIZER = CLASSES["cons"]
 
 
 class ConsSpecializer(Specializer):
@@ -51,7 +50,7 @@ class ConsSpecializer(Specializer):
 
 class ConsGeneralizer(Generalizer):
     """Conses headed by one symbol that a cons specializer of the function
-    names; one per head per function.  `next` is the cons class generalizer."""
+    names; one per head per function.  `next` is the cons class."""
 
     __slots__ = ("car", "next")
 
@@ -65,7 +64,7 @@ class ConsGeneralizer(Generalizer):
 
 class ConsGenericFunction(GenericFunction):
     """Generic function whose dispatch can examine the car of a cons.  Heads
-    no method names share the cons class generalizer, so they keep nothing."""
+    no method names generalize to the cons class, so they keep nothing."""
 
     kind = "cons"
 
@@ -79,7 +78,7 @@ class ConsGenericFunction(GenericFunction):
         if isinstance(arg, Cons):
             car = arg.car  # probed only if a symbol: a cons is unhashable
             return self._heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
-        return _EXACT_GENERALIZERS.get(arg.__class__) or ClassGeneralizer(class_of(arg))
+        return _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):

@@ -14,7 +14,6 @@ from gendispatch import (
     AcceptGeneralizer,
     AcceptGenericFunction,
     AcceptSpecializer,
-    ClassGeneralizer,
     ClassSpecializer,
     EqlSpecializer,
     Method,
@@ -27,6 +26,7 @@ from gendispatch import (
 )
 from gendispatch.accept import _FIND_RANGES, MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
 from gendispatch.httpd import make_responder, respond
+from gendispatch.model import ClassRef
 
 from conftest import invoke_outcome, oracle_media_ranges, random_config, random_header
 
@@ -116,7 +116,7 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     g = gf.generalizer_of("text/html")
     assert isinstance(g, AcceptGeneralizer)
     assert g.ranks == (1, 0)  # html accepted and preferred, plain refused
-    assert g.next is ClassGeneralizer(CLASSES["string"])
+    assert g.next is CLASSES["string"]
     # interned per preference order: another spelling of the same order is
     # the same object, and that object is its own cache key
     assert gf.generalizer_of("TEXT/HTML;q=0.7 , text/plain;q=0.000") is g
@@ -128,12 +128,12 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     req = Request("GET", "/", {"Accept": "text/html"})
     g_req = gf.generalizer_of(req)
     assert g_req.ranks == (1, 0)
-    assert g_req.next.cls.name == "request"
+    assert g_req.next.name == "request"
     assert g_req is not g  # same order, different class
     assert gf.generalizer_of(Request("GET", "/", {"Accept": "text/html;q=0.2"})) is g_req
 
     g = gf.generalizer_of(42)
-    assert isinstance(g, ClassGeneralizer)
+    assert isinstance(g, ClassRef)
 
 
 def test_generalizer_answers_for_accept_dispatch() -> None:
@@ -149,7 +149,7 @@ def test_generalizer_answers_for_accept_dispatch() -> None:
     # the class alone cannot resolve an eql specializer on some string
     assert gf.specializer_accepts_generalizer(EqlSpecializer("x"), g) == (False, False)
     # media-type methods never match arguments without a header
-    assert gf.specializer_accepts_generalizer(html, ClassGeneralizer(CLASSES["integer"])) == (False, True)
+    assert gf.specializer_accepts_generalizer(html, CLASSES["integer"]) == (False, True)
 
 
 def test_methods_order_by_client_preference() -> None:
@@ -312,7 +312,9 @@ def test_header_spellings_share_cache_entries_within_bounds() -> None:
     while len(headers) < 4000:
         headers.add(random_spelling(rng))
     cached = make_responder()
-    uncached = make_responder(cache="none")
+    uncached = AcceptGenericFunction("respond", 1, cache="none")
+    for method in cached.methods:
+        uncached.add_method(method)
     orders = set()
     for header in sorted(headers):
         arg = Request("GET", "/", {"Accept": header}) if rng.random() < 0.5 else header

@@ -52,6 +52,13 @@ def test_walk_file_that_is_not_utf8(tmp_path, capsys) -> None:
     assert captured.err.count("\n") == 1
 
 
+def test_walk_file_that_starts_with_a_byte_order_mark(tmp_path, capsys) -> None:
+    path = tmp_path / "form.sexp"
+    path.write_bytes(b"\xef\xbb\xbf(lambda (x) y)")
+    assert main(["walk", str(path)]) == 0
+    assert capsys.readouterr().out == "unused-binding x\nunbound-variable y\n"
+
+
 def test_walk_unparsable_form(tmp_path, capsys) -> None:
     path = tmp_path / "form.sexp"
     path.write_text("(((")

@@ -14,7 +14,6 @@ from gendispatch import (
     ANY,
     CLASSES,
     NIL,
-    ClassGeneralizer,
     ClassRegistry,
     ClassSpecializer,
     Cons,
@@ -30,6 +29,7 @@ from gendispatch import (
 )
 from gendispatch import core
 from gendispatch.core import freeze_key
+from gendispatch.model import ClassRef
 
 from conftest import combination_outcome, invoke_outcome, random_config, value_kinds
 
@@ -192,7 +192,7 @@ def test_arity_is_checked() -> None:
     with pytest.raises(TypeError):
         gf.compute_applicable_methods((1,))
     with pytest.raises(TypeError):
-        gf.compute_applicable_methods_using_generalizers([ClassGeneralizer(CLASSES["t"])])
+        gf.compute_applicable_methods_using_generalizers([CLASSES["t"]])
 
 
 def test_bad_qualifier_and_cache_mode_rejected() -> None:
@@ -207,15 +207,11 @@ def test_eql_method_makes_class_generalizer_non_definitive() -> None:
     # of its class, so the answer for that class is not definitive
     gf = GenericFunction("f", 1)
     eql5 = gf.add_method(Method([EqlSpecializer(5)], tagged("five")))
-    methods, definitive = gf.compute_applicable_methods_using_generalizers(
-        [ClassGeneralizer(CLASSES["integer"])]
-    )
+    methods, definitive = gf.compute_applicable_methods_using_generalizers([CLASSES["integer"]])
     assert methods == []
     assert definitive is False
     # but a class that can never hold the eql object is definitive
-    methods, definitive = gf.compute_applicable_methods_using_generalizers(
-        [ClassGeneralizer(CLASSES["string"])]
-    )
+    methods, definitive = gf.compute_applicable_methods_using_generalizers([CLASSES["string"]])
     assert methods == []
     assert definitive is True
     assert gf.compute_applicable_methods((5,)) == [eql5]
@@ -226,7 +222,7 @@ def test_definitiveness_ignores_method_order() -> None:
     body = tagged("x")
     eql5 = Method([EqlSpecializer(5)], body)
     on_int = Method([cls_spec("integer")], body)
-    g = [ClassGeneralizer(CLASSES["integer"])]
+    g = [CLASSES["integer"]]
     for ms in ([eql5, on_int], [on_int, eql5]):
         gf = GenericFunction("f", 1)
         for m in ms:
@@ -240,11 +236,10 @@ def test_generalizer_defaults() -> None:
     gf = GenericFunction("f", 1)
     gf.add_method(Method([cls_spec("integer")], tagged("integer")))
     g = gf.generalizer_of(3)
-    assert isinstance(g, ClassGeneralizer)
-    assert g.cls is CLASSES["integer"]
-    # equal arguments get the one interned generalizer, which is its own key
+    assert isinstance(g, ClassRef)
+    assert g is CLASSES["integer"]
+    # equal arguments get their class, which is its own generalizer and key
     assert gf.generalizer_of(-7) is g
-    assert ClassGeneralizer(CLASSES["integer"]) is g
     assert g.next is g
     gf(-7)
     (key,) = gf._cache
@@ -255,21 +250,17 @@ def test_generalizer_defaults() -> None:
 def test_generalizer_table_agrees_with_class_of() -> None:
     gf = GenericFunction("f", 1)
     for v in value_kinds():
-        assert gf.generalizer_of(v) is ClassGeneralizer(class_of(v)), v
+        assert gf.generalizer_of(v) is class_of(v), v
 
 
 def test_accepts_generalizer_examples() -> None:
     gf = GenericFunction("f", 1)
-    integer = ClassGeneralizer(CLASSES["integer"])
+    integer = CLASSES["integer"]
     assert gf.specializer_accepts_generalizer(cls_spec("integer"), integer) == (True, True)
     assert gf.specializer_accepts_generalizer(cls_spec("number"), integer) == (True, True)
-    assert gf.specializer_accepts_generalizer(
-        cls_spec("integer"), ClassGeneralizer(CLASSES["number"])
-    ) == (False, True)
+    assert gf.specializer_accepts_generalizer(cls_spec("integer"), CLASSES["number"]) == (False, True)
     assert gf.specializer_accepts_generalizer(EqlSpecializer(5), integer) == (False, False)
-    assert gf.specializer_accepts_generalizer(
-        EqlSpecializer(5), ClassGeneralizer(CLASSES["string"])
-    ) == (False, True)
+    assert gf.specializer_accepts_generalizer(EqlSpecializer(5), CLASSES["string"]) == (False, True)
 
 
 def test_same_specializer_comparisons() -> None:
@@ -283,7 +274,7 @@ def test_same_specializer_comparisons() -> None:
 
 def test_specializer_order_examples() -> None:
     gf = GenericFunction("f", 1)
-    g = ClassGeneralizer(CLASSES["integer"])
+    g = CLASSES["integer"]
     assert gf.specializer_order(cls_spec("integer"), cls_spec("number"), g) == -1
     assert gf.specializer_order(cls_spec("number"), cls_spec("integer"), g) == 1
     assert gf.specializer_order(cls_spec("integer"), cls_spec("integer"), g) == 0
@@ -293,7 +284,7 @@ def test_specializer_order_examples() -> None:
 
 def test_specializer_order_is_antisymmetric_and_transitive() -> None:
     gf = GenericFunction("f", 1)
-    g = ClassGeneralizer(CLASSES["integer"])
+    g = CLASSES["integer"]
     pool = [
         EqlSpecializer(5),
         cls_spec("integer"),
@@ -363,7 +354,7 @@ def test_cache_key_shape_single_versus_list() -> None:
     auto.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     auto(1, "ignored")
     (key,) = auto._cache.keys()
-    bare = ClassGeneralizer(CLASSES["integer"])
+    bare = CLASSES["integer"]
     assert key is bare  # bare key, no outer tuple
 
     listy = GenericFunction("f", 2, cache="list")
@@ -384,8 +375,8 @@ def test_auto_key_uses_tuple_for_two_dispatch_positions() -> None:
     gf(1, "s")
     (key,) = gf._cache.keys()
     assert type(key) is tuple and len(key) == 2
-    assert key[0] is ClassGeneralizer(CLASSES["integer"])
-    assert key[1] is ClassGeneralizer(CLASSES["string"])
+    assert key[0] is CLASSES["integer"]
+    assert key[1] is CLASSES["string"]
     gf(2, "t")
     assert len(gf._cache) == 1  # equal generalizers make an equal key tuple
 
@@ -399,6 +390,47 @@ def test_same_named_classes_of_two_registries_keep_separate_cache_entries() -> N
     assert gf(Instance(point_a)) == "a-point"
     with pytest.raises(NoApplicableMethod):
         gf(Instance(point_b))
+
+
+@pytest.mark.parametrize("mode", ["auto", "list", "none"])
+def test_diamond_of_user_classes_runs_methods_in_c3_order(mode) -> None:
+    registry = ClassRegistry()
+    a = registry.define("a")
+    b = registry.define("b", ["a"])
+    c = registry.define("c", ["a"])
+    d = registry.define("d", ["b", "c"])
+    log = []
+    gf = GenericFunction("f", 1, cache=mode)
+    for cls in (a, b, c, registry["t"]):
+        gf.add_method(Method([ClassSpecializer(cls)], chained(cls.name, log)))
+    for instance, order in ((Instance(d), ["b", "c", "a", "t"]), (Instance(c), ["c", "a", "t"])):
+        for _ in range(2):  # a miss, then a hit where the mode caches
+            log.clear()
+            assert gf(instance) == "t"
+            assert log == order
+    methods, definitive = gf.compute_applicable_methods_using_generalizers([d])
+    assert definitive is True
+    assert methods == gf.compute_applicable_methods((Instance(d),))
+    assert [m.specializers[0].cls.name for m in methods] == ["b", "c", "a", "t"]
+
+
+def _dispatch_on_a_class_of_a_fresh_registry():
+    cls = ClassRegistry().define("thing")
+    gf = GenericFunction("f", 1)
+    gf.add_method(Method([ClassSpecializer(cls)], tagged("thing")))
+    assert gf(Instance(cls)) == "thing"
+
+
+def _live_classes() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, ClassRef))
+
+
+def test_dropped_class_registries_leave_no_classes_behind() -> None:
+    before = _live_classes()
+    for _ in range(200):
+        _dispatch_on_a_class_of_a_fresh_registry()
+    assert _live_classes() == before
 
 
 def test_freeze_key_separates_numeric_kinds() -> None:

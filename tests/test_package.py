@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     "class_of", "cons_list", "eql", "format_value", "intern", "iter_list",
     "read_sexpr", "subclass_p",
     # core
-    "ANY", "ClassGeneralizer", "ClassSpecializer", "DispatchError", "EffectiveMethod",
+    "ANY", "ClassSpecializer", "DispatchError", "EffectiveMethod",
     "EqlSpecializer", "Generalizer", "GenericFunction", "Method", "MethodNotFound",
     "NoApplicableMethod", "NoPrimaryMethod", "Specializer",
     # extensions

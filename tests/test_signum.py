@@ -6,7 +6,6 @@ import pytest
 
 from gendispatch import (
     CLASSES,
-    ClassGeneralizer,
     ClassSpecializer,
     EqlSpecializer,
     Method,
@@ -17,6 +16,7 @@ from gendispatch import (
     make_fact,
     signum,
 )
+from gendispatch.model import ClassRef
 from conftest import fact_oracle
 
 
@@ -68,18 +68,18 @@ def test_signum_generalizer_and_hash_key() -> None:
     assert g.value == 1 and isinstance(g.value, int)
     assert gf.generalizer_of(3) is g  # equal signs share one generalizer
     assert gf.generalizer_of(7.0) is not g  # but integer and float do not
-    assert g.next is ClassGeneralizer(CLASSES["integer"])
+    assert g.next is CLASSES["integer"]
     g = gf.generalizer_of(-2.5)
     assert g.value == -1.0 and isinstance(g.value, float)
     assert gf.generalizer_of(-0.5) is g
-    assert g.next is ClassGeneralizer(CLASSES["float"])
+    assert g.next is CLASSES["float"]
     gf.add_method(Method([SignumSpecializer(-1)], lambda args, _next: "negative"))
     assert gf(-0.5) == "negative"
     (key,) = gf._cache
     assert key is g
     g = gf.generalizer_of("not a number")
-    assert isinstance(g, ClassGeneralizer)
-    assert g.cls.name == "string"
+    assert isinstance(g, ClassRef)
+    assert g.name == "string"
 
 
 def test_class_specializer_sees_through_the_signum_generalizer() -> None:
@@ -96,7 +96,7 @@ def test_class_specializer_sees_through_the_signum_generalizer() -> None:
 def test_sign_methods_are_excluded_for_non_real_arguments() -> None:
     gf = SignumGenericFunction("f", 1)
     s = SignumSpecializer(1)
-    assert gf.specializer_accepts_generalizer(s, ClassGeneralizer(CLASSES["string"])) == (False, True)
+    assert gf.specializer_accepts_generalizer(s, CLASSES["string"]) == (False, True)
 
 
 def test_sign_specializers_order_before_class_specializers() -> None:

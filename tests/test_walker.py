@@ -13,7 +13,6 @@ from gendispatch import (
     ANY,
     CLASSES,
     NIL,
-    ClassGeneralizer,
     Cons,
     ConsGeneralizer,
     ConsGenericFunction,
@@ -139,14 +138,14 @@ def test_walk_gf_selection_order_for_a_let_form() -> None:
 
 def test_walk_gf_generalizer_answers_are_definitive() -> None:
     walker = Walker()
-    t = ClassGeneralizer(CLASSES["t"])
+    t = CLASSES["t"]
     methods, definitive = walker.gf.compute_applicable_methods_using_generalizers(
         [ConsGeneralizer(intern("let")), t, t]
     )
     assert definitive is True
     assert len(methods) == 3
     methods, definitive = walker.gf.compute_applicable_methods_using_generalizers(
-        [ClassGeneralizer(CLASSES["symbol"]), t, t]
+        [CLASSES["symbol"], t, t]
     )
     assert definitive is True
     assert [m.specializers[0].cls.name for m in methods] == ["symbol", "t"]
@@ -154,7 +153,7 @@ def test_walk_gf_generalizer_answers_are_definitive() -> None:
 
 def test_cons_generalizer_used_only_for_symbol_heads() -> None:
     gf = ConsGenericFunction("g", 1)
-    cons = ClassGeneralizer(CLASSES["cons"])
+    cons = CLASSES["cons"]
     assert gf.generalizer_of(read_sexpr("(f 1)")) is cons  # no method names f yet
     gf.add_method(Method([ConsSpecializer(intern("f"))], lambda args, _next: "f form"))
     g = gf.generalizer_of(read_sexpr("(f 1)"))
@@ -180,11 +179,11 @@ def test_walk_function_generalizes_cons_subclasses_by_head() -> None:
         else:
             # the standard function's class generalizer: a head the walker's
             # methods do not name, such as f, decides nothing
-            assert gf.generalizer_of(v) is ClassGeneralizer(class_of(v)), v
+            assert gf.generalizer_of(v) is class_of(v), v
 
 
 def test_heads_no_method_names_share_the_cons_class_generalizer() -> None:
-    cons = ClassGeneralizer(CLASSES["cons"])
+    cons = CLASSES["cons"]
     for gf in (Walker().gf, ConsGenericFunction("g", 1)):
         for text in ("(f)", "(g 1 2)", "(quote x)", "(nil)", "((lambda (x) x) 1)", "(1 . 2)"):
             assert gf.generalizer_of(read_sexpr(text)) is cons, text
@@ -205,7 +204,7 @@ def test_each_named_head_has_one_generalizer_per_function() -> None:
 def test_a_new_head_method_takes_its_forms_and_gives_them_back(mode) -> None:
     walker = Walker(cache=mode)
     form = read_sexpr("(quote x)")
-    cons = ClassGeneralizer(CLASSES["cons"])
+    cons = CLASSES["cons"]
     assert diagnostic_pairs(walker.check_form(form)) == [("unbound-variable", "x")]
     assert walker.gf.generalizer_of(form) is cons
     method = walker.gf.add_method(Method([ConsSpecializer(intern("quote")), ANY, ANY], lambda args, _next: None))
