@@ -89,7 +89,13 @@ def test_claim_and_claimed_are_optional() -> None:
 
 @pytest.mark.parametrize(
     "name",
-    ["BENCH_discriminating_function.json", "BENCH_walk_op.json", "BENCH_discriminating_arity.json", "BENCH_cons_heads.json"],
+    [
+        "BENCH_discriminating_function.json",
+        "BENCH_walk_op.json",
+        "BENCH_discriminating_arity.json",
+        "BENCH_cons_heads.json",
+        "BENCH_class_generalizer.json",
+    ],
 )
 def test_summary_reproduces_a_recorded_file(name) -> None:
     with open(os.path.join(ROOT, name)) as f:
