@@ -21,6 +21,13 @@ side's median and quartiles (inclusive method), the ratio of the medians, and
 in how many pairs the change was better.  The claimed metric is met when the
 change is better in at least nine of ten pairs and its median beats the
 parent's by more than the parent's interquartile range.
+
+Two record-level lists of workload:metric read each metric against its
+BENCHMARK.json bound.  `unresolved`: the parent's runs spread, as
+(max - min) / median, wider than the bound, and the change's runs do not all
+beat every parent run, so the pairs cannot tell the sides apart at that
+bound.  `beyond_bound`: the change's median is worse than the parent's by
+more than the bound.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ def end_to_end_metrics() -> dict:
     return {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
 
 
+def end_to_end_bounds() -> dict:
+    """metric name -> its bound, a share of the parent's median."""
+    return {m["name"]: m["bound"] for m in benchmark()["end_to_end"]}
+
+
 def spread(values) -> dict:
     if len(values) == 1:
         q1 = q3 = values[0]
@@ -57,17 +69,23 @@ def spread(values) -> dict:
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def whole_pairs(runs, workload: str):
+    """The seeds of the workload's whole pairs, in order, and each side's
+    results by seed."""
+    sides = {"parent": {}, "change": {}}
+    for r in runs:
+        if r["workload"] == workload:
+            sides[r["side"]][r["seed"]] = r["result"]
+    return [seed for seed in sides["parent"] if seed in sides["change"]], sides
+
+
 def summarize(runs, metrics: dict) -> dict:
     """Per workload, over its whole pairs in seed order: failed ops, whether
     every run was correct, and per metric each side's spread, the ratio of
     medians (change / parent) and "better in k of N"."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        sides = {"parent": {}, "change": {}}
-        for r in runs:
-            if r["workload"] == workload:
-                sides[r["side"]][r["seed"]] = r["result"]
-        seeds = [seed for seed in sides["parent"] if seed in sides["change"]]
+        seeds, sides = whole_pairs(runs, workload)
         entry = {
             "pairs": len(seeds),
             "seeds": seeds,
@@ -85,6 +103,31 @@ def summarize(runs, metrics: dict) -> dict:
             }
         summary[workload] = entry
     return summary
+
+
+def verdicts(runs, metrics: dict, bounds: dict) -> dict:
+    """The record's "unresolved" and "beyond_bound" lists of workload:metric,
+    over whole pairs.  A metric is unresolved when its parent runs spread, as
+    (max - min) / median, wider than its bound, unless every change run beats
+    every parent run.  It is beyond bound when the change's median is worse
+    than the parent's by more than the bound, as a share of the parent's."""
+    found = {"unresolved": [], "beyond_bound": []}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        seeds, sides = whole_pairs(runs, workload)
+        if not seeds:
+            continue
+        for metric, better in metrics.items():
+            parent, change = ([results[s]["metrics"][metric]["value"] for s in seeds] for results in sides.values())
+            sign = 1 if better == "higher" else -1  # sign * (a - b) > 0: a is better
+            base = statistics.median(parent)
+            name = "%s:%s" % (workload, metric)
+            if (max(parent) - min(parent)) / base > bounds[metric] and not all(
+                sign * (c - p) > 0 for c in change for p in parent
+            ):
+                found["unresolved"].append(name)
+            if sign * (base - statistics.median(change)) / base > bounds[metric]:
+                found["beyond_bound"].append(name)
+    return found
 
 
 def claim_met(entry: dict, metric: str, better: str) -> bool:
@@ -151,6 +194,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = end_to_end_metrics()
+    bounds = end_to_end_bounds()
     seconds = benchmark()["run_seconds"]
     shas = {side: git("rev-parse", rev + "^{commit}").decode().strip() for side, rev in (("parent", args.parent), ("change", args.change))}
     record = {
@@ -164,6 +208,8 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "machine": args.machine,
         "claimed": args.claimed,
+        "unresolved": [],
+        "beyond_bound": [],
         "summary": {},
         "runs": [],
     }
@@ -180,6 +226,7 @@ def main(argv=None) -> int:
                     result = run_once(checkouts[side], workload, seed, seconds)
                     record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": first, "result": result})
                 pair += 1
+                record.update(verdicts(record["runs"], metrics, bounds))
                 record["summary"] = summarize(record["runs"], metrics)
                 claimed = record["claimed"]
                 if claimed is not None:

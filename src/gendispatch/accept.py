@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 from functools import cache, lru_cache
 
-from .model import _EXACT_CLASS_OF, ClassRef, Request, class_of
+from .model import ClassRef, Request, class_of
 from .core import Generalizer, GenericFunction
 from .core import Method, NoApplicableMethod, Specializer
 
@@ -185,8 +185,7 @@ class AcceptGenericFunction(GenericFunction):
         return self._find
 
     def generalizer_of(self, arg, position: int = 0):
-        # the default's probe, inlined, as in walker.py: every call runs this
-        next_generalizer = _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
+        next_generalizer = class_of(arg)
         header = _header_of(arg)
         if header is None:
             return next_generalizer

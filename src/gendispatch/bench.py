@@ -12,10 +12,9 @@ result before anything is timed.
 
 from __future__ import annotations
 
-import gc
 import time
+import timeit
 from collections import namedtuple
-from itertools import repeat
 
 from .model import CLASSES, Cons, Symbol, intern
 from .core import ANY, ClassSpecializer, GenericFunction, Method
@@ -43,27 +42,15 @@ def time_per_call(fn, runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS
     """Mean microseconds per fn() call over the central half of `runs` runs."""
     resolution = time.get_clock_info("perf_counter").resolution
     floor = max(min_run_seconds, 100.0 * resolution)
+    timer = timeit.Timer(fn)  # each run: gc off, perf_counter
     iterations = 1
-    while _timed_run(fn, iterations) < floor:
+    while timer.timeit(iterations) < floor:
         iterations *= 2
-    _timed_run(fn, iterations)  # warm-up, discarded
-    samples = sorted(_timed_run(fn, iterations) / iterations for _ in range(runs))
+    timer.timeit(iterations)  # warm-up, discarded
+    samples = sorted(timer.timeit(iterations) / iterations for _ in range(runs))
     drop = runs // 4
     central = samples[drop : runs - drop]
     return 1e6 * sum(central) / len(central)
-
-
-def _timed_run(fn, iterations: int) -> float:
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for _ in repeat(None, iterations):
-            fn()
-        return time.perf_counter() - start
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _results(rows) -> list[BenchResult]:

@@ -18,8 +18,9 @@ Calling a generic function, gf(...), calls gf.discriminating_function: one
 plain function per generic function, compiled once per arity, whose fixed
 positional-only parameters let CPython run a call from a method body inside
 the caller's interpreter loop, with no C-level call per level of recursion.
-It computes the generalizers, probes the cache and runs the effective method;
-a method body that recurses should call it directly.
+It computes the generalizers, probes the cache and runs the cached entry,
+or on a miss calls _dispatch, the one miss path; a method body that recurses
+should call it directly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import weakref
 from functools import cache, cmp_to_key
 
-from .model import _EXACT_CLASS_OF, CLASSES, ClassRef, class_of, eql, format_value, subclass_p
+from .model import CLASSES, ClassRef, class_of, eql, format_value, subclass_p
 
 QUALIFIERS = ("primary", "before", "after", "around")
 
@@ -189,6 +190,7 @@ class GenericFunction:
         self.cache_mode = cache
         self.methods: list[Method] = []
         self._cache: dict = {}
+        self._generation = 0  # moved by every method change
         self._methods_changed()
         self.discriminating_function = _discriminating_function(self)
 
@@ -228,6 +230,7 @@ class GenericFunction:
     def _methods_changed(self):
         """Flush the cache and recompute what dispatch derives from the
         method set; subclasses extend it for their own derived state."""
+        self._generation += 1  # before the flush: see _dispatch
         self._cache.clear()
         positions = set()
         for m in self.methods:
@@ -246,7 +249,7 @@ class GenericFunction:
     def generalizer_of(self, arg, position: int = 0) -> Generalizer:
         """Generalizer of one argument; the default is its class.
         It is also the cache key, so equal generalizers must be one object."""
-        return _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
+        return class_of(arg)
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
@@ -389,35 +392,35 @@ class GenericFunction:
         key = ()
         for i in self._dispatch_positions:
             key += (self.generalizer_of(args[i], i),)
-        if self.cache_mode == "none":
-            return self._dispatch(args, key, None)
         entry = self._cache.get(key)
         if entry is None:
-            return self._dispatch(args, key, key)
+            return self._dispatch(args, key)
         return entry[0](args, entry[1])
 
-    def _dispatch(self, args, key, cache_key):
-        """Cache-miss path: select from the key tuple (one generalizer per
-        dispatch position), combine, and memoize under cache_key when
-        definitive; a cache_key of None memoizes nothing.  A definitive
-        empty outcome is memoized too, as an entry that raises."""
+    def _dispatch(self, args, key):
+        """The one miss path: select from the key tuple, or from the arguments
+        when that answer is not definitive, build the entry (one that raises
+        when nothing applies) and call it as a hit does.  Only a definitive
+        entry is stored, and it is dropped if the methods changed meanwhile."""
+        generation = self._generation
         methods, definitive = self._applicable_from_generalizers(key)
-        if definitive:
-            if methods:
-                entry = self.compute_effective_method(methods).entry
-            else:
-                entry = (_no_applicable_method, weakref.proxy(self))
-            if cache_key is not None:
-                if len(self._cache) >= CACHE_LIMIT:
-                    self._cache.clear()
-                self._cache[cache_key] = entry
-            body, next_call = entry
-            return body(args, next_call)
-        methods = self.compute_applicable_methods(args)
-        if not methods:
-            raise NoApplicableMethod(self, args)
-        # not cached: the generalizer key does not determine this outcome
-        return self.compute_effective_method(methods)(args)
+        if not definitive:
+            methods = self.compute_applicable_methods(args)
+        if methods:
+            entry = self.compute_effective_method(methods).entry
+        else:
+            entry = (_no_applicable_method, weakref.proxy(self))
+        if definitive and self.cache_mode != "none":
+            cache = self._cache
+            if len(cache) >= CACHE_LIMIT:
+                cache.clear()
+            if self._single is not None:
+                key = key[0]
+            cache[key] = entry
+            # checked after the store: a flush between check and store would hide
+            if self._generation != generation:
+                cache.pop(key, None)
+        return entry[0](args, entry[1])
 
 
 # only the single-position hit path is in this frame, with no unpacked
@@ -434,7 +437,7 @@ def discriminating_function(%s):
     g = self.generalizer_of(args[i], i)
     entry = self._cache.get(g)
     if entry is None:
-        return self._dispatch(args, (g,), g)
+        return self._dispatch(args, (g,))
     return entry[0](args, entry[1])
 """
 

@@ -292,8 +292,8 @@ class Request:
         return "#<request %s %s>" % (self.method, self.path)
 
 
-# the class of each host type in the value universe; NIL and Instance are
-# resolved before it is consulted
+# the class of each host type in the value universe, which class_of probes
+# by exact type first; neither NIL's type nor Instance is in it
 _EXACT_CLASS_OF = {
     int: _C_INTEGER,
     float: _C_FLOAT,
@@ -308,6 +308,9 @@ _EXACT_CLASS_OF = {
 def class_of(value) -> ClassRef:
     """Most specific class of a runtime value.  Total: host objects that are
     not part of the value universe fall back to class t."""
+    cls = _EXACT_CLASS_OF.get(value.__class__)
+    if cls is not None:
+        return cls
     if isinstance(value, Instance):
         return value.class_ref
     if value is NIL:

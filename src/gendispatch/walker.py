@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from reprlib import recursive_repr
 
-from .model import _EXACT_CLASS_OF, CLASSES, NIL, Cons, Symbol, class_of, intern
+from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
 from .core import ANY, ClassSpecializer, Generalizer, GenericFunction, Method, Specializer
 from .reader import read_sexpr
 
@@ -74,11 +74,10 @@ class ConsGenericFunction(GenericFunction):
         self._heads = {car: ConsGeneralizer(car) for car in heads}
 
     def generalizer_of(self, arg, position: int = 0):
-        # the default's probe, inlined: the walker calls this once per form
         if isinstance(arg, Cons):
             car = arg.car  # probed only if a symbol: a cons is unhashable
             return self._heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
-        return _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)
+        return class_of(arg)
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):

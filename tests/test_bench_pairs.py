@@ -1,4 +1,5 @@
-"""The summary code of scripts/bench_pairs.py, on synthetic and recorded runs."""
+"""The summary and verdict code of scripts/bench_pairs.py, on synthetic and
+recorded runs."""
 
 from __future__ import annotations
 
@@ -66,6 +67,54 @@ def test_a_claim_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr() -> No
     assert not bench_pairs.claim_met(entry([110] * 8 + [90] * 2), "throughput_ops_s", "higher")
     assert not bench_pairs.claim_met(entry([102.5] * 10), "throughput_ops_s", "higher")  # within the parent's IQR
     assert not bench_pairs.claim_met(entry([90] * 10), "throughput_ops_s", "higher")
+
+
+BOUNDS = {"throughput_ops_s": 0.25, "latency_p50_us": 0.25}
+
+
+def verdicts(pairs):
+    """The verdict lists of one workload "w" over (parent, change) throughputs;
+    each run's p50 is 1e4 / its throughput."""
+    runs = []
+    for seed, (parent, change) in enumerate(pairs):
+        runs += [run("w", seed, "parent", parent, 1e4 / parent), run("w", seed, "change", change, 1e4 / change)]
+    return bench_pairs.verdicts(runs, METRICS, BOUNDS)
+
+
+def test_a_metric_is_unresolved_when_the_parent_spreads_wider_than_its_bound() -> None:
+    # parent 80, 100, 110: (110 - 80) / 100 = 0.3 > 0.25; the p50s spread as widely
+    assert verdicts([(80, 100), (100, 100), (110, 100)])["unresolved"] == ["w:throughput_ops_s", "w:latency_p50_us"]
+    # parent 90, 100, 110: 0.2, inside the bound
+    assert verdicts([(90, 100), (100, 100), (110, 100)])["unresolved"] == []
+    # every change run beats every parent run: resolved despite the spread
+    assert verdicts([(80, 120), (100, 111), (110, 130)])["unresolved"] == []
+    # one change run that only ties the slowest parent run does not beat it
+    assert verdicts([(80, 120), (100, 110), (110, 130)])["unresolved"] == ["w:throughput_ops_s", "w:latency_p50_us"]
+
+
+def test_a_metric_is_beyond_bound_when_its_median_is_worse_by_more_than_the_bound() -> None:
+    # throughput median 100 -> 74: 26% worse; p50 100 -> 135: 35% worse
+    assert verdicts([(100, 74)] * 3)["beyond_bound"] == ["w:throughput_ops_s", "w:latency_p50_us"]
+    # throughput 100 -> 80: 20% worse, inside; p50 100 -> 125: exactly the bound, not beyond
+    assert verdicts([(100, 80)] * 3)["beyond_bound"] == []
+    # p50 alone: 100 -> 1e4 / 78 = 128.2, 28% worse; throughput 22% worse
+    assert verdicts([(100, 78)] * 3)["beyond_bound"] == ["w:latency_p50_us"]
+    assert verdicts([(100, 200)] * 3)["beyond_bound"] == []  # better is never beyond
+
+
+@pytest.mark.parametrize(
+    "name, unresolved",
+    [
+        ("BENCH_cons_heads.json", ["walk:setup_s"]),
+        ("BENCH_class_generalizer.json", ["fact:setup_s"]),
+        ("BENCH_discriminating_arity.json", ["fact:setup_s", "negotiate-distinct:setup_s"]),
+    ],
+)
+def test_verdicts_of_recorded_files(name, unresolved) -> None:
+    with open(os.path.join(ROOT, name)) as f:
+        runs = json.load(f)["runs"]
+    found = bench_pairs.verdicts(runs, bench_pairs.end_to_end_metrics(), bench_pairs.end_to_end_bounds())
+    assert found == {"unresolved": unresolved, "beyond_bound": []}
 
 
 def test_pair_specs_parse() -> None:

@@ -6,6 +6,7 @@ import gc
 import inspect
 import itertools
 import random
+import threading
 import weakref
 
 import pytest
@@ -325,15 +326,29 @@ def test_cache_fills_and_hits() -> None:
 
 
 def test_non_definitive_outcomes_are_not_cached() -> None:
-    gf = GenericFunction("f", 1)
-    gf.add_method(Method([EqlSpecializer(5)], tagged("five")))
-    gf.add_method(Method([cls_spec("integer")], tagged("integer")))
-    assert gf(5) == "five"
-    assert gf(6) == "integer"
-    assert gf._cache == {}
-    gf.add_method(Method([cls_spec("string")], tagged("string")))
-    assert gf("x") == "string"
-    assert len(gf._cache) == 1  # the string class answer is definitive
+    # one test id over the three cache modes
+    for mode in ("auto", "list", "none"):
+        gf = GenericFunction("f", 1, cache=mode)
+        gf.add_method(Method([EqlSpecializer(5)], tagged("five")))
+        gf.add_method(Method([cls_spec("integer")], tagged("integer")))
+        assert gf(5) == "five"
+        assert gf(6) == "integer"
+        assert gf._cache == {}
+        gf.add_method(Method([cls_spec("string")], tagged("string")))
+        assert gf("x") == "string"
+        # the string class answer is definitive, so cached where caching is on
+        assert len(gf._cache) == (0 if mode == "none" else 1), mode
+
+        # an empty outcome that is not definitive raises on every call
+        only_eql = GenericFunction("f", 1, cache=mode)
+        only_eql.add_method(Method([EqlSpecializer(5)], tagged("five")))
+        for _ in range(2):
+            with pytest.raises(NoApplicableMethod) as raised:
+                only_eql(6)
+            assert str(raised.value) == "no applicable method for f on (6)"
+            assert raised.value.gf_name == "f"
+        assert only_eql(5) == "five"
+        assert only_eql._cache == {}, mode
 
 
 def test_methods_changed_flushes_cache() -> None:
@@ -347,6 +362,33 @@ def test_methods_changed_flushes_cache() -> None:
     gf.remove_method(m)
     assert gf._cache == {}
     assert gf(1) == "wide"
+
+
+def test_a_miss_that_straddles_a_method_change_is_not_cached() -> None:
+    entered, release = threading.Event(), threading.Event()
+
+    class Stalling(GenericFunction):
+        stall = False
+
+        def compute_effective_method(self, methods):
+            # selection is done: block once, while the methods change
+            if self.stall:
+                self.stall = False
+                entered.set()
+                release.wait(5)
+            return super().compute_effective_method(methods)
+
+    gf = Stalling("f", 1)
+    gf.add_method(Method([cls_spec("number")], tagged("number")))
+    gf.stall = True
+    caller = threading.Thread(target=gf, args=(1,), daemon=True)
+    caller.start()
+    assert entered.wait(5)
+    gf.add_method(Method([cls_spec("integer")], tagged("integer")))
+    release.set()
+    caller.join(5)
+    assert not caller.is_alive()
+    assert gf(1) == "integer"  # not the entry selected from the old methods
 
 
 def test_cache_key_shape_single_versus_list() -> None:
