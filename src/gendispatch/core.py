@@ -417,7 +417,7 @@ class GenericFunction:
             if self._single is not None:
                 key = key[0]
             cache[key] = entry
-            # checked after the store: a flush between check and store would hide
+            # checked after the store: checked before it, a flush in between would go unseen
             if self._generation != generation:
                 cache.pop(key, None)
         return entry[0](args, entry[1])

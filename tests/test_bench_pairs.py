@@ -103,18 +103,23 @@ def test_a_metric_is_beyond_bound_when_its_median_is_worse_by_more_than_the_boun
 
 
 @pytest.mark.parametrize(
-    "name, unresolved",
+    "name, unresolved, beyond_bound",
     [
-        ("BENCH_cons_heads.json", ["walk:setup_s"]),
-        ("BENCH_class_generalizer.json", ["fact:setup_s"]),
-        ("BENCH_discriminating_arity.json", ["fact:setup_s", "negotiate-distinct:setup_s"]),
+        ("BENCH_cons_heads.json", ["walk:setup_s"], []),
+        ("BENCH_class_generalizer.json", ["fact:setup_s"], []),
+        ("BENCH_discriminating_arity.json", ["fact:setup_s", "negotiate-distinct:setup_s"], []),
+        ("BENCH_one_miss_path.json", ["walk:setup_s", "fact:setup_s"], ["negotiate-distinct:setup_s"]),
+        ("BENCH_one_miss_path_negotiate.json", ["negotiate-distinct:setup_s"], []),
     ],
 )
-def test_verdicts_of_recorded_files(name, unresolved) -> None:
+def test_verdicts_of_recorded_files(name, unresolved, beyond_bound) -> None:
     with open(os.path.join(ROOT, name)) as f:
-        runs = json.load(f)["runs"]
-    found = bench_pairs.verdicts(runs, bench_pairs.end_to_end_metrics(), bench_pairs.end_to_end_bounds())
-    assert found == {"unresolved": unresolved, "beyond_bound": []}
+        record = json.load(f)
+    found = bench_pairs.verdicts(record["runs"], bench_pairs.end_to_end_metrics(), bench_pairs.end_to_end_bounds())
+    assert found == {"unresolved": unresolved, "beyond_bound": beyond_bound}
+    if "unresolved" in record:  # written by the recorder since it gives verdicts
+        assert {key: record[key] for key in found} == found
+        assert bench_pairs.summarize(record["runs"], bench_pairs.end_to_end_metrics()) == record["summary"]
 
 
 def test_pair_specs_parse() -> None:
