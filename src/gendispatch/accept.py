@@ -10,11 +10,11 @@ lower-cased once; one findall over it gives each element's range and q.
 Dispatch depends on a header only through the client's preference order over
 the media types the function's methods name, so that order, not the header
 text, is the generalizer and the cache key: every spelling of one preference
-shares one cache entry.  A per-function match table maps each range that can
-match the function's media types to them, so ranking is one probe per range,
-and a per-function grammar parses only the types and subtypes in that table.
-A bounded per-function memo maps header text to its generalizer, so a
-repeated header is not parsed again.
+shares one cache entry.  Per method set, a match table maps each range that
+can match the function's media types to them, so ranking is one probe per
+range, a grammar parses only the types and subtypes in that table, and a
+bounded memo maps header text to its generalizer, so a repeated header is
+not parsed again.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import cache, lru_cache
 
 from .model import ClassRef, Request, class_of
-from .core import Generalizer, GenericFunction
+from .core import DispatchState, Generalizer, GenericFunction
 from .core import Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
@@ -136,67 +136,73 @@ class AcceptGeneralizer(Generalizer):
     q=0) and otherwise 1 + the number of distinct higher qualities the header
     gives those media types.  Acceptance only asks whether q > 0 and ordering
     only compares two accepted qs, so the ranks decide both; `next` is the
-    class of the argument.  Interned per function, so it is its own cache
-    key, and it answers only for that function's specializers."""
+    class of the argument.  Interned per dispatch state, so it is its own
+    cache key; `rank_of` maps the media types it was ranked over to their
+    ranks, so it answers only for the methods of that state."""
 
-    __slots__ = ("ranks", "next")
+    __slots__ = ("ranks", "next", "rank_of")
 
-    def __init__(self, ranks: tuple, next_generalizer: ClassRef):
+    def __init__(self, ranks: tuple, next_generalizer: ClassRef, media_index: dict):
         self.ranks = ranks
         self.next = next_generalizer
+        self.rank_of = dict(zip(media_index, ranks))
 
     def __repr__(self):
         return "(accept-generalizer %s)" % " ".join(map(str, self.ranks))
 
 
-# header texts remembered per function.  Clients repeat a few headers; a full
+# header texts remembered per method set.  Clients repeat a few headers; a full
 # memo starts afresh, so distinct headers cannot grow it without bound
 MEMO_LIMIT = 1024
 
 
-class AcceptGenericFunction(GenericFunction):
-    kind = "accept"
+class _AcceptState(DispatchState):
+    """Also the tables an Accept function's generalizers are ranked from and
+    interned in, and `find`, their own grammar, compiled on first use."""
 
-    def _methods_changed(self):
-        super()._methods_changed()
-        media_types = {}
-        for m in self.methods:
-            for s in m.specializers:
-                if isinstance(s, AcceptSpecializer):
-                    media_types.setdefault(s.media_type, len(media_types))
-        self._media_index = media_types  # media type -> index into ranks
+    __slots__ = ("media_index", "matches", "generalizers", "memo", "find")
+
+    def __init__(self, methods, cache_mode: str):
+        super().__init__(methods, cache_mode)
+        named = (s.media_type for m in methods for s in m.specializers if isinstance(s, AcceptSpecializer))
+        self.media_index = {t: i for i, t in enumerate(dict.fromkeys(named))}  # media type -> index into ranks
         # (type, subtype) of a range -> (specificity, indexes of the media
         # types it matches): 3 for the exact type, 2 for type/*, 1 for */*
-        matches = {}
-        for media_type, i in media_types.items():
+        matches = self.matches = {}
+        for media_type, i in self.media_index.items():
             type_, _, subtype = media_type.partition("/")
             matches[type_, subtype] = (3, (i,))
             for key, specificity in (((type_, "*"), 2), (("*", "*"), 1)):
                 matches[key] = (specificity, matches.get(key, (0, ()))[1] + (i,))
-        self._matches = matches
-        self._generalizers = {}  # (ranks, next) -> the interned generalizer
-        self._memo = {}  # (header, next) -> generalizer
-        self._find = None  # the table's own grammar, compiled on the next miss
+        self.generalizers = {}  # (ranks, next) -> the interned generalizer
+        self.memo = {}  # (header, next) -> generalizer
+        self.find = None
 
-    def _compile_find(self):
+    def compile_find(self):
         # only the table's ranges parse; the engine swallows other elements unparsed
-        alternatives = ("|".join(sorted({re.escape(key[i]) for key in self._matches})) for i in (0, 1))
-        self._find = re.compile(_GRAMMAR % tuple(alternatives)).findall
-        return self._find
+        alternatives = ("|".join(sorted({re.escape(key[i]) for key in self.matches})) for i in (0, 1))
+        self.find = re.compile(_GRAMMAR % tuple(alternatives)).findall
+        return self.find
+
+
+class AcceptGenericFunction(GenericFunction):
+    kind = "accept"
+    _state_class = _AcceptState
 
     def generalizer_of(self, arg, position: int = 0):
         next_generalizer = class_of(arg)
         header = _header_of(arg)
         if header is None:
             return next_generalizer
-        memo = self._memo
+        state = self._state  # read once: ranked, interned and memoized in one layout
+        memo = state.memo
         g = memo.get((header, next_generalizer))
         if g is None:
             # each media type's q from its most specific range, the first of equals
-            matches = self._matches
-            qs = [0] * len(self._media_index)
+            matches = state.matches
+            qs = [0] * len(state.media_index)
             specificities = qs[:]
-            for type_, subtype, q in (self._find or self._compile_find())(header.lower()):
+            for type_, subtype, q in (state.find or state.compile_find())(header.lower()):
                 specificity, indexes = matches.get((type_, subtype), (0, ()))
                 for i in indexes:
                     if specificity > specificities[i]:
@@ -204,10 +210,10 @@ class AcceptGenericFunction(GenericFunction):
                         qs[i] = _thousandths(q)
             higher = sorted(set(qs), reverse=True)
             ranks = tuple([higher.index(q) + 1 if q else 0 for q in qs])
-            g = self._generalizers.get((ranks, next_generalizer))
+            g = state.generalizers.get((ranks, next_generalizer))
             if g is None:
-                g = AcceptGeneralizer(ranks, next_generalizer)
-                self._generalizers[ranks, next_generalizer] = g
+                g = AcceptGeneralizer(ranks, next_generalizer, state.media_index)
+                state.generalizers[ranks, next_generalizer] = g
             if len(memo) >= MEMO_LIMIT:
                 memo.clear()
             memo[header, next_generalizer] = g
@@ -216,23 +222,22 @@ class AcceptGenericFunction(GenericFunction):
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, AcceptSpecializer):
             # strings and requests always generalize to an AcceptGeneralizer
-            # here, so other generalizer kinds exclude media-type methods
+            # here, so other generalizer kinds exclude media-type methods; one
+            # ranked for other methods (they changed meanwhile) cannot say
             if isinstance(g, AcceptGeneralizer):
-                return (g.ranks[self._media_index[s.media_type]] > 0, True)
+                rank = g.rank_of.get(s.media_type)
+                return (bool(rank), rank is not None)
             return (False, True)
         return super().specializer_accepts_generalizer(s, g)
 
     def specializer_order(self, s1, s2, g):
-        if (
-            isinstance(s1, AcceptSpecializer)
-            and isinstance(s2, AcceptSpecializer)
-            and isinstance(g, AcceptGeneralizer)
-        ):
-            # the media type the client rates higher (a lower rank) is
-            # more specific
-            r1 = g.ranks[self._media_index[s1.media_type]]
-            r2 = g.ranks[self._media_index[s2.media_type]]
-            return (r1 > r2) - (r1 < r2)
+        if (isinstance(s1, AcceptSpecializer) and isinstance(s2, AcceptSpecializer)
+                and isinstance(g, AcceptGeneralizer)):
+            # the media type the client rates higher (a lower rank) is more
+            # specific; a generalizer ranked for other methods ties them
+            r1, r2 = g.rank_of.get(s1.media_type), g.rank_of.get(s2.media_type)
+            if r1 is not None and r2 is not None:
+                return (r1 > r2) - (r1 < r2)
         return super().specializer_order(s1, s2, g)
 
 

@@ -18,9 +18,9 @@ Calling a generic function, gf(...), calls gf.discriminating_function: one
 plain function per generic function, compiled once per arity, whose fixed
 positional-only parameters let CPython run a call from a method body inside
 the caller's interpreter loop, with no C-level call per level of recursion.
-It computes the generalizers, probes the cache and runs the cached entry,
-or on a miss calls _dispatch, the one miss path; a method body that recurses
-should call it directly.
+It reads the DispatchState once, computes the generalizers, probes the
+state's cache and runs the cached entry, or on a miss calls _dispatch, the one
+miss path; a method body that recurses should call it directly.
 """
 
 from __future__ import annotations
@@ -158,6 +158,20 @@ def freeze_key(key):
     return key
 
 
+class DispatchState:
+    """What dispatch derives from one method set, replaced whole when it
+    changes: the methods, the positions that discriminate, the one position
+    when bare keys apply (else None) and the cache; extensions add tables."""
+
+    __slots__ = ("methods", "positions", "single", "cache")
+
+    def __init__(self, methods, cache_mode: str):
+        self.methods = tuple(methods)
+        self.positions = tuple(sorted({i for m in methods for i, s in enumerate(m.specializers) if s != ANY}))
+        self.single = self.positions[0] if cache_mode == "auto" and len(self.positions) == 1 else None
+        self.cache = {}
+
+
 def _specializer_rank(s) -> int:
     # cross-kind precedence: eql beats extension kinds beats class
     if isinstance(s, EqlSpecializer):
@@ -172,8 +186,8 @@ class GenericFunction:
 
     The cache maps generalizers (a tuple of them for several positions) to
     effective-method entries and is only fed from definitive
-    generalizer-based answers; add_method and remove_method flush it, and it
-    is cleared when it reaches CACHE_LIMIT entries.
+    generalizer-based answers; a method change replaces it with the rest of
+    the dispatch state, and it is cleared when it reaches CACHE_LIMIT entries.
     `cache` is one of "auto" (single bare key when exactly one argument
     position discriminates, else a key tuple), "list" (always a tuple), or
     "none" (a key tuple that selects methods but is never memoized).
@@ -181,6 +195,7 @@ class GenericFunction:
     """
 
     kind = "standard"
+    _state_class = DispatchState  # an extension names its own subclass
 
     def __init__(self, name: str, nargs: int, cache: str = "auto"):
         if cache not in ("auto", "list", "none"):
@@ -189,8 +204,6 @@ class GenericFunction:
         self.nargs = nargs
         self.cache_mode = cache
         self.methods: list[Method] = []
-        self._cache: dict = {}
-        self._generation = 0  # moved by every method change
         self._methods_changed()
         self.discriminating_function = _discriminating_function(self)
 
@@ -201,7 +214,7 @@ class GenericFunction:
 
     def add_method(self, method: Method) -> Method:
         """Add `method`, replacing any method with the same qualifier and
-        specializers.  Flushes the dispatch cache."""
+        specializers.  Replaces the dispatch state."""
         if len(method.specializers) != self.nargs:
             raise ValueError(
                 "%s takes %d arguments, method specializes %d"
@@ -219,7 +232,7 @@ class GenericFunction:
         return method
 
     def remove_method(self, method: Method):
-        """Remove `method` (by identity).  Flushes the dispatch cache."""
+        """Remove `method` (by identity).  Replaces the dispatch state."""
         for i, existing in enumerate(self.methods):
             if existing is method:
                 del self.methods[i]
@@ -228,21 +241,8 @@ class GenericFunction:
         raise MethodNotFound("%r is not a method of %s" % (method, self.name))
 
     def _methods_changed(self):
-        """Flush the cache and recompute what dispatch derives from the
-        method set; subclasses extend it for their own derived state."""
-        self._generation += 1  # before the flush: see _dispatch
-        self._cache.clear()
-        positions = set()
-        for m in self.methods:
-            for i, s in enumerate(m.specializers):
-                if not (isinstance(s, ClassSpecializer) and s.cls is ANY.cls):
-                    positions.add(i)
-        self._dispatch_positions = tuple(sorted(positions))
-        # the one dispatch position, when bare keys apply
-        if self.cache_mode == "auto" and len(positions) == 1:
-            self._single = self._dispatch_positions[0]
-        else:
-            self._single = None
+        """Publish a fresh dispatch state in one store: no call sees two method sets."""
+        self._state = self._state_class(self.methods, self.cache_mode)
 
     # -- dispatch protocol: extension points
 
@@ -270,16 +270,11 @@ class GenericFunction:
         and calls super() for every other pair."""
         if s1 == s2:
             return 0
-        r1 = _specializer_rank(s1)
-        r2 = _specializer_rank(s2)
-        if r1 != r2:
-            return -1 if r1 < r2 else 1
-        if isinstance(s1, ClassSpecializer) and isinstance(s2, ClassSpecializer):
+        r1, r2 = _specializer_rank(s1), _specializer_rank(s2)
+        if r1 == r2 and isinstance(s1, ClassSpecializer):  # so s2 is one too
             cpl = g.next.precedence_list
-            i1 = cpl.index(s1.cls)
-            i2 = cpl.index(s2.cls)
-            return -1 if i1 < i2 else (1 if i1 > i2 else 0)
-        return 0
+            r1, r2 = cpl.index(s1.cls), cpl.index(s2.cls)
+        return (r1 > r2) - (r1 < r2)
 
     # -- applicability
 
@@ -288,15 +283,16 @@ class GenericFunction:
         args = tuple(args)
         if len(args) != self.nargs:
             raise TypeError("%s expects %d arguments" % (self.name, self.nargs))
+        state = self._state  # read once: methods and positions of one method set
         selected = [
             m
-            for m in self.methods
+            for m in state.methods
             if all(s.accepts(a) for s, a in zip(m.specializers, args))
         ]
         if len(selected) < 2:
             return selected
-        key = tuple(self.generalizer_of(args[i], i) for i in self._dispatch_positions)
-        return self._sort_methods(selected, key)
+        key = tuple(self.generalizer_of(args[i], i) for i in state.positions)
+        return self._sort_methods(selected, key, state.positions)
 
     def compute_applicable_methods_using_generalizers(self, generalizers):
         """Methods applicable to any arguments with these generalizers, one
@@ -307,14 +303,14 @@ class GenericFunction:
         generalizers = list(generalizers)
         if len(generalizers) != self.nargs:
             raise TypeError("%s expects %d generalizers" % (self.name, self.nargs))
-        key = tuple(generalizers[i] for i in self._dispatch_positions)
-        return self._applicable_from_generalizers(key)
+        state = self._state
+        return self._applicable_from_generalizers(tuple(generalizers[i] for i in state.positions), state)
 
-    def _applicable_from_generalizers(self, key):
-        positions = self._dispatch_positions
+    def _applicable_from_generalizers(self, key, state):
+        positions = state.positions
         definitive = True
         selected = []
-        for m in self.methods:
+        for m in state.methods:
             accepted = True
             for i, g in zip(positions, key):
                 ok, sure = self.specializer_accepts_generalizer(m.specializers[i], g)
@@ -325,12 +321,10 @@ class GenericFunction:
             if accepted:
                 selected.append(m)
         if len(selected) > 1:
-            selected = self._sort_methods(selected, key)
+            selected = self._sort_methods(selected, key, positions)
         return selected, definitive
 
-    def _sort_methods(self, methods, key):
-        positions = self._dispatch_positions
-
+    def _sort_methods(self, methods, key, positions):
         def compare(m1, m2):
             for i, g in zip(positions, key):
                 r = self.specializer_order(m1.specializers[i], m2.specializers[i], g)
@@ -386,24 +380,23 @@ class GenericFunction:
     def invoke(self, args):
         return self.discriminating_function(*args)
 
-    def _discriminate(self, args):
+    def _discriminate(self, args, state):
         """The discriminating function's path for a key tuple of generalizers."""
         # a comprehension here would make self and args cells
         key = ()
-        for i in self._dispatch_positions:
+        for i in state.positions:
             key += (self.generalizer_of(args[i], i),)
-        entry = self._cache.get(key)
+        entry = state.cache.get(key)
         if entry is None:
-            return self._dispatch(args, key)
+            return self._dispatch(args, key, state)
         return entry[0](args, entry[1])
 
-    def _dispatch(self, args, key):
-        """The one miss path: select from the key tuple, or from the arguments
-        when that answer is not definitive, build the entry (one that raises
+    def _dispatch(self, args, key, state):
+        """The one miss path: select from the probed state by the key tuple (else
+        from the current one by the arguments), build the entry (one that raises
         when nothing applies) and call it as a hit does.  Only a definitive
-        entry is stored, and it is dropped if the methods changed meanwhile."""
-        generation = self._generation
-        methods, definitive = self._applicable_from_generalizers(key)
+        entry is stored, and only into the probed state's cache."""
+        methods, definitive = self._applicable_from_generalizers(key, state)
         if not definitive:
             methods = self.compute_applicable_methods(args)
         if methods:
@@ -411,15 +404,10 @@ class GenericFunction:
         else:
             entry = (_no_applicable_method, weakref.proxy(self))
         if definitive and self.cache_mode != "none":
-            cache = self._cache
+            cache = state.cache
             if len(cache) >= CACHE_LIMIT:
                 cache.clear()
-            if self._single is not None:
-                key = key[0]
-            cache[key] = entry
-            # checked after the store: checked before it, a flush in between would go unseen
-            if self._generation != generation:
-                cache.pop(key, None)
+            cache[key if state.single is None else key[0]] = entry
         return entry[0](args, entry[1])
 
 
@@ -431,13 +419,13 @@ def discriminating_function(%s):
     self = ref()
     if self is None:
         raise ReferenceError("the generic function %%s no longer exists" %% name)
-    i = self._single
-    if i is None:
-        return self._discriminate(args)
-    g = self.generalizer_of(args[i], i)
-    entry = self._cache.get(g)
+    state = self._state
+    if state.single is None:
+        return self._discriminate(args, state)
+    g = self.generalizer_of(args[state.single], state.single)
+    entry = state.cache.get(g)
     if entry is None:
-        return self._dispatch(args, (g,))
+        return self._dispatch(args, (g,), state)
     return entry[0](args, entry[1])
 """
 
@@ -452,10 +440,10 @@ def _discriminating_code(nargs):
 
 
 def _discriminating_function(gf):
-    """The discriminating function of `gf`.  It reads gf's dispatch state on
-    every call, so it stays valid across method changes and sees each flush,
-    and it holds gf weakly, so a method body that keeps it does not keep gf
-    alive."""
+    """The discriminating function of `gf`.  It reads gf's dispatch state once
+    per call, so it stays valid across method changes and each call sees one
+    method set, and it holds gf weakly, so a method body that keeps it does
+    not keep gf alive."""
     namespace = {"__name__": __name__, "ref": weakref.ref(gf), "name": gf.name}
     exec(_discriminating_code(gf.nargs), namespace)
     function = namespace["discriminating_function"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from reprlib import recursive_repr
 
 from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
-from .core import ANY, ClassSpecializer, Generalizer, GenericFunction, Method, Specializer
+from .core import ANY, ClassSpecializer, DispatchState, Generalizer, GenericFunction, Method, Specializer
 from .reader import read_sexpr
 
 UNUSED_BINDING = "unused-binding"
@@ -62,21 +62,28 @@ class ConsGeneralizer(Generalizer):
         return "(cons-generalizer %s)" % self.car
 
 
+class _ConsState(DispatchState):
+    """Also `heads`: the generalizer of each head symbol the methods name."""
+
+    __slots__ = ("heads",)
+
+    def __init__(self, methods, cache_mode: str):
+        super().__init__(methods, cache_mode)
+        heads = (s.car for m in methods for s in m.specializers if isinstance(s, ConsSpecializer))
+        self.heads = {car: ConsGeneralizer(car) for car in heads}
+
+
 class ConsGenericFunction(GenericFunction):
     """Generic function whose dispatch can examine the car of a cons.  Heads
     no method names generalize to the cons class, so they keep nothing."""
 
     kind = "cons"
-
-    def _methods_changed(self):
-        super()._methods_changed()
-        heads = (s.car for m in self.methods for s in m.specializers if isinstance(s, ConsSpecializer))
-        self._heads = {car: ConsGeneralizer(car) for car in heads}
+    _state_class = _ConsState
 
     def generalizer_of(self, arg, position: int = 0):
         if isinstance(arg, Cons):
             car = arg.car  # probed only if a symbol: a cons is unhashable
-            return self._heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
+            return self._state.heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
         return class_of(arg)
 
     def specializer_accepts_generalizer(self, s, g):

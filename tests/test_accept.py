@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -121,7 +122,7 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     # the same object, and that object is its own cache key
     assert gf.generalizer_of("TEXT/HTML;q=0.7 , text/plain;q=0.000") is g
     assert gf("text/html") == "text/html"
-    (key,) = gf._cache
+    (key,) = gf._state.cache
     assert key is g
     assert gf.generalizer_of("text/html;q=0.5, text/plain").ranks == (2, 1)
 
@@ -196,7 +197,7 @@ def test_negotiate_reuses_one_negotiator_per_media_type_list() -> None:
     assert negotiate("application/xml", types) == "application/xml"
     assert negotiate("text/html, application/xml;q=0.5", list(types)) == "text/html"
     assert _negotiator(tuple(types)) is gf
-    assert {"application/xml", "text/html, application/xml;q=0.5"} <= {header for header, _ in gf._memo}
+    assert {"application/xml", "text/html, application/xml;q=0.5"} <= {header for header, _ in gf._state.memo}
 
 
 def test_negotiator_mixes_with_class_methods() -> None:
@@ -204,7 +205,7 @@ def test_negotiator_mixes_with_class_methods() -> None:
     gf.add_method(Method([ClassSpecializer(CLASSES["string"])], lambda a, _n: "some string"))
     assert gf("text/html") == "text/html"  # media-type method is more specific
     assert gf("application/xml") == "some string"
-    assert len(gf._cache) == 2  # both outcomes were definitive
+    assert len(gf._state.cache) == 2  # both outcomes were definitive
 
 
 def test_negotiated_choice_has_maximal_quality() -> None:
@@ -319,14 +320,14 @@ def test_header_spellings_share_cache_entries_within_bounds() -> None:
     for header in sorted(headers):
         arg = Request("GET", "/", {"Accept": header}) if rng.random() < 0.5 else header
         assert respond(cached, arg) == respond(uncached, arg)
-        assert len(cached._memo) <= MEMO_LIMIT
+        assert len(cached._state.memo) <= MEMO_LIMIT
         orders.add((type(arg), preference_order(header)))
     assert len(headers) > MEMO_LIMIT  # the memo started afresh at least once
-    assert 0 < len(cached._cache) <= len(orders) < len(headers) // 50
+    assert 0 < len(cached._state.cache) <= len(orders) < len(headers) // 50
     # a repeated header is answered from the memo without parsing
     header = next(iter(headers))
     g = cached.generalizer_of(header)
-    assert cached._memo[header, g.next] is g
+    assert cached._state.memo[header, g.next] is g
 
 
 def test_add_method_reranks_a_known_header() -> None:
@@ -340,6 +341,50 @@ def test_add_method_reranks_a_known_header() -> None:
         gf.remove_method(png)
         assert gf(arg) == "text/html"
         assert gf.generalizer_of(arg).ranks == (1,)
+
+
+@pytest.mark.parametrize("change", ["add", "remove"])
+def test_a_negotiation_that_straddles_a_method_change_answers_for_one_method_set(change) -> None:
+    entered, release = threading.Event(), threading.Event()
+
+    class StallingHeader(str):
+        stall = True
+
+        def lower(self):
+            # ranking has read the function's tables: block once, while the methods change
+            if StallingHeader.stall:
+                StallingHeader.stall = False
+                entered.set()
+                release.wait(5)
+            return super().lower()
+
+    header = "text/html;q=0.5, text/plain;q=0.8, application/json"
+    old_types = ["text/html", "text/plain"]
+    new_types = old_types + ["application/json"] if change == "add" else ["text/html"]
+    gf = make_negotiator(old_types)
+    outcomes = []
+
+    def call():
+        try:
+            outcomes.append(invoke_outcome(gf, (StallingHeader(header),)))
+        except Exception as exc:  # reported by the assertion below
+            outcomes.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    assert entered.wait(5)
+    if change == "add":
+        gf.add_method(Method([AcceptSpecializer("application/json")], lambda args, _next: "application/json"))
+    else:
+        gf.remove_method(gf.methods[1])
+    release.set()
+    caller.join(5)
+    assert not caller.is_alive()
+    answers = {invoke_outcome(make_negotiator(types, cache="none"), (header,)) for types in (old_types, new_types)}
+    assert outcomes[0] in answers | {"no-applicable-method"}, outcomes
+    assert invoke_outcome(gf, (header,)) == invoke_outcome(make_negotiator(new_types, cache="none"), (header,))
+    state = gf._state
+    assert all(len(g.ranks) == len(state.media_index) for g in state.generalizers.values())
 
 
 def test_accept_cache_modes_agree_on_random_configurations() -> None:
@@ -384,7 +429,7 @@ def test_all_refused_order_is_cached_and_raises_for_each_spelling() -> None:
             assert gf.accepts_calls > 0
             gf.accepts_calls = 0
     assert gf.accepts_calls == 0  # the second spelling hit the cached outcome
-    assert len(gf._cache) == 1
+    assert len(gf._state.cache) == 1
 
 
 @pytest.mark.parametrize(
@@ -394,7 +439,7 @@ def test_empty_elements_yield_nothing(header) -> None:
     # an empty or blank element is not one more match of empty groups, so a
     # header of commas and blanks costs findall no tuple per comma
     gf = make_negotiator(["text/html", "text/plain"])
-    for find in (_FIND_RANGES, gf._compile_find()):
+    for find in (_FIND_RANGES, gf._state.compile_find()):
         assert all(t for t, _, _ in find(header)), header
 
 

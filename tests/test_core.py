@@ -6,6 +6,7 @@ import gc
 import inspect
 import itertools
 import random
+import sys
 import threading
 import weakref
 
@@ -15,9 +16,13 @@ from gendispatch import (
     ANY,
     CLASSES,
     NIL,
+    AcceptGenericFunction,
+    AcceptSpecializer,
     ClassRegistry,
     ClassSpecializer,
     Cons,
+    ConsGenericFunction,
+    ConsSpecializer,
     DispatchError,
     EqlSpecializer,
     GenericFunction,
@@ -26,7 +31,12 @@ from gendispatch import (
     MethodNotFound,
     NoApplicableMethod,
     NoPrimaryMethod,
+    Request,
+    SignumGenericFunction,
+    SignumSpecializer,
     class_of,
+    intern,
+    read_sexpr,
 )
 from gendispatch import core
 from gendispatch.core import freeze_key
@@ -243,7 +253,7 @@ def test_generalizer_defaults() -> None:
     assert gf.generalizer_of(-7) is g
     assert g.next is g
     gf(-7)
-    (key,) = gf._cache
+    (key,) = gf._state.cache
     assert key is g
     assert gf.generalizer_of(3.0) is not g
 
@@ -303,9 +313,9 @@ def test_specializer_order_is_antisymmetric_and_transitive() -> None:
 def test_dispatch_positions_track_non_universal_specializers() -> None:
     gf = GenericFunction("f", 3)
     gf.add_method(Method([ANY, cls_spec("integer"), ANY], tagged("x")))
-    assert gf._dispatch_positions == (1,)
+    assert gf._state.positions == (1,)
     gf.add_method(Method([cls_spec("string"), ANY, ANY], tagged("y")))
-    assert gf._dispatch_positions == (0, 1)
+    assert gf._state.positions == (0, 1)
     assert gf("s", "s", "anything") == "y"
     assert gf(0, 0, "anything") == "x"
 
@@ -313,16 +323,16 @@ def test_dispatch_positions_track_non_universal_specializers() -> None:
 def test_cache_fills_and_hits() -> None:
     gf = GenericFunction("f", 1)
     gf.add_method(Method([cls_spec("integer")], tagged("integer")))
-    assert gf._cache == {}
+    assert gf._state.cache == {}
     gf(1)
-    assert len(gf._cache) == 1
-    first = next(iter(gf._cache.values()))
+    assert len(gf._state.cache) == 1
+    first = next(iter(gf._state.cache.values()))
     gf(2)
-    assert len(gf._cache) == 1
-    assert next(iter(gf._cache.values())) is first  # same effective method reused
+    assert len(gf._state.cache) == 1
+    assert next(iter(gf._state.cache.values())) is first  # same effective method reused
     with pytest.raises(NoApplicableMethod):
         gf("s")
-    assert len(gf._cache) == 2  # a definitive empty outcome is cached, as an entry that raises
+    assert len(gf._state.cache) == 2  # a definitive empty outcome is cached, as an entry that raises
 
 
 def test_non_definitive_outcomes_are_not_cached() -> None:
@@ -333,11 +343,11 @@ def test_non_definitive_outcomes_are_not_cached() -> None:
         gf.add_method(Method([cls_spec("integer")], tagged("integer")))
         assert gf(5) == "five"
         assert gf(6) == "integer"
-        assert gf._cache == {}
+        assert gf._state.cache == {}
         gf.add_method(Method([cls_spec("string")], tagged("string")))
         assert gf("x") == "string"
         # the string class answer is definitive, so cached where caching is on
-        assert len(gf._cache) == (0 if mode == "none" else 1), mode
+        assert len(gf._state.cache) == (0 if mode == "none" else 1), mode
 
         # an empty outcome that is not definitive raises on every call
         only_eql = GenericFunction("f", 1, cache=mode)
@@ -348,19 +358,19 @@ def test_non_definitive_outcomes_are_not_cached() -> None:
             assert str(raised.value) == "no applicable method for f on (6)"
             assert raised.value.gf_name == "f"
         assert only_eql(5) == "five"
-        assert only_eql._cache == {}, mode
+        assert only_eql._state.cache == {}, mode
 
 
 def test_methods_changed_flushes_cache() -> None:
     gf = GenericFunction("f", 1)
     m = gf.add_method(Method([cls_spec("integer")], tagged("one")))
     gf(1)
-    assert len(gf._cache) == 1
+    assert len(gf._state.cache) == 1
     gf.add_method(Method([cls_spec("number")], tagged("wide")))
-    assert gf._cache == {}
+    assert gf._state.cache == {}
     gf(1)
     gf.remove_method(m)
-    assert gf._cache == {}
+    assert gf._state.cache == {}
     assert gf(1) == "wide"
 
 
@@ -391,36 +401,109 @@ def test_a_miss_that_straddles_a_method_change_is_not_cached() -> None:
     assert gf(1) == "integer"  # not the entry selected from the old methods
 
 
+def chain(tag: str):
+    # each body's tag, then those of the next methods: the whole ordering
+    def body(args, next_call):
+        return (tag,) + (next_call(args) if next_call is not None else ())
+
+    return body
+
+
+# (kind, base specializer, the specializer each thread toggles, arguments called)
+CONCURRENT_CASES = [
+    (GenericFunction, cls_spec("number"), [cls_spec("integer"), EqlSpecializer(5)], [5, 6, 2.5, "s"]),
+    (SignumGenericFunction, cls_spec("number"), [SignumSpecializer(1), cls_spec("integer")], [5, -5, 0, 2.5]),
+    (ConsGenericFunction, cls_spec("cons"), [ConsSpecializer(intern("f")), ConsSpecializer(intern("g"))],
+     [read_sexpr("(f 1)"), read_sexpr("(g 1)"), read_sexpr("(h)"), 3]),
+    (AcceptGenericFunction, AcceptSpecializer("text/html"),
+     [AcceptSpecializer("application/json"), AcceptSpecializer("text/plain")],
+     ["text/html;q=0.5, text/plain;q=0.8, application/json", "text/*",
+      Request("GET", "/", {"Accept": "text/plain, application/json;q=0.1"}), "image/png"]),
+]
+
+
+def test_method_changes_under_concurrent_calls_answer_for_one_method_set() -> None:
+    # two threads each own one function of every kind, and repeatedly add a
+    # method to it, call, remove the method and call again, calling both
+    # their own and the other thread's functions.  A call on its own function
+    # answers exactly as a cache="none" twin of the new method set does; one
+    # on the other's answers as the twin of the old or of the new set
+    owned = [[], []]
+    for kind, base, toggled, arguments in CONCURRENT_CASES:
+        for t in range(2):
+            answers = []
+            for methods in ([base], [base, toggled[t]]):
+                twin = kind("f", 1, cache="none")
+                for s in methods:
+                    twin.add_method(Method([s], chain(repr(s))))
+                answers.append([invoke_outcome(twin, (arg,)) for arg in arguments])
+            gf = kind("f", 1)
+            gf.add_method(Method([base], chain(repr(base))))
+            owned[t].append((gf, Method([toggled[t]], chain(repr(toggled[t]))), arguments, answers))
+
+    failures = []
+
+    def work(t):
+        try:
+            for _ in range(150):
+                for own, other in zip(owned[t], owned[1 - t]):
+                    gf, method, arguments, answers = own
+                    for present, change in ((1, gf.add_method), (0, gf.remove_method)):
+                        change(method)
+                        for i, arg in enumerate(arguments):
+                            if invoke_outcome(gf, (arg,)) != answers[present][i]:
+                                failures.append((gf.kind, t, arg, present))
+                        gf_other, _, arguments_other, answers_other = other
+                        for i, arg in enumerate(arguments_other):
+                            if invoke_outcome(gf_other, (arg,)) not in (answers_other[0][i], answers_other[1][i]):
+                                failures.append((gf_other.kind, 1 - t, arg, "either"))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
 def test_cache_key_shape_single_versus_list() -> None:
     auto = GenericFunction("f", 2, cache="auto")
     auto.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     auto(1, "ignored")
-    (key,) = auto._cache.keys()
+    (key,) = auto._state.cache.keys()
     bare = CLASSES["integer"]
     assert key is bare  # bare key, no outer tuple
 
     listy = GenericFunction("f", 2, cache="list")
     listy.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     listy(1, "ignored")
-    (key,) = listy._cache.keys()
+    (key,) = listy._state.cache.keys()
     assert type(key) is tuple and len(key) == 1 and key[0] is bare  # one-element key tuple
 
     off = GenericFunction("f", 2, cache="none")
     off.add_method(Method([cls_spec("integer"), ANY], tagged("x")))
     off(1, "ignored")
-    assert off._cache == {}
+    assert off._state.cache == {}
 
 
 def test_auto_key_uses_tuple_for_two_dispatch_positions() -> None:
     gf = GenericFunction("f", 2, cache="auto")
     gf.add_method(Method([cls_spec("integer"), cls_spec("string")], tagged("x")))
     gf(1, "s")
-    (key,) = gf._cache.keys()
+    (key,) = gf._state.cache.keys()
     assert type(key) is tuple and len(key) == 2
     assert key[0] is CLASSES["integer"]
     assert key[1] is CLASSES["string"]
     gf(2, "t")
-    assert len(gf._cache) == 1  # equal generalizers make an equal key tuple
+    assert len(gf._state.cache) == 1  # equal generalizers make an equal key tuple
 
 
 def test_same_named_classes_of_two_registries_keep_separate_cache_entries() -> None:
@@ -495,7 +578,7 @@ def _assert_cache_modes_agree(seed, traced=False, **config):
         outcome = combination_outcome if traced else invoke_outcome
         runs.append(([outcome(gf, args) for args in arglists], trace))
     assert runs[0] == runs[1] == runs[2]
-    return gf._dispatch_positions
+    return gf._state.positions
 
 
 def test_cache_modes_agree_on_random_traces() -> None:
@@ -540,10 +623,10 @@ def test_full_cache_starts_afresh_with_identical_results(monkeypatch) -> None:
         gf, arglists = random_config(random.Random(seed), cache="auto", calls=12)
         reference, _ = random_config(random.Random(seed), cache="none", calls=12)
         for args in arglists:
-            before = len(gf._cache)
+            before = len(gf._state.cache)
             assert invoke_outcome(gf, args) == invoke_outcome(reference, args)
-            assert len(gf._cache) <= 2
-            clears += len(gf._cache) < before
+            assert len(gf._state.cache) <= 2
+            clears += len(gf._state.cache) < before
     assert clears > 10
 
 

@@ -75,7 +75,7 @@ def test_signum_generalizer_and_hash_key() -> None:
     assert g.next is CLASSES["float"]
     gf.add_method(Method([SignumSpecializer(-1)], lambda args, _next: "negative"))
     assert gf(-0.5) == "negative"
-    (key,) = gf._cache
+    (key,) = gf._state.cache
     assert key is g
     g = gf.generalizer_of("not a number")
     assert isinstance(g, ClassRef)
@@ -146,16 +146,16 @@ def test_fact_has_no_method_for_negatives() -> None:
 def test_fact_cache_keeps_integer_and_float_entries_apart() -> None:
     fact = make_fact()
     assert fact(3) == 6
-    assert len(fact._cache) == 2
+    assert len(fact._state.cache) == 2
     assert fact(3.0) == 6.0  # same methods, distinct cache entries
-    assert len(fact._cache) == 4
-    assert set(fact._cache) == {fact.generalizer_of(x) for x in (1, 0, 1.0, 0.0)}
+    assert len(fact._state.cache) == 4
+    assert set(fact._state.cache) == {fact.generalizer_of(x) for x in (1, 0, 1.0, 0.0)}
 
 
 def test_fact_works_without_a_cache() -> None:
     fact = make_fact(cache="none")
     assert fact(10) == fact_oracle(10)
-    assert fact._cache == {}
+    assert fact._state.cache == {}
 
 
 def test_fact_recursion_sees_methods_added_after_make_fact() -> None:

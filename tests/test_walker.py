@@ -273,10 +273,10 @@ def test_walker_results_agree_across_cache_modes() -> None:
 def test_walker_reuses_its_dispatch_cache() -> None:
     walker = Walker()
     walker.check_source("(let ((x 1)) x)")
-    filled = len(walker.gf._cache)
+    filled = len(walker.gf._state.cache)
     assert filled > 0
     walker.check_source("(let ((y 2)) y)")
-    assert len(walker.gf._cache) == filled  # same shapes, no new entries
+    assert len(walker.gf._state.cache) == filled  # same shapes, no new entries
 
 
 def test_diagnostics_are_fresh_per_check() -> None:
