@@ -25,6 +25,7 @@ miss path; a method body that recurses should call it directly.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from functools import cache, cmp_to_key
 
@@ -159,9 +160,10 @@ def freeze_key(key):
 
 
 class DispatchState:
-    """What dispatch derives from one method set, replaced whole when it
-    changes: the methods, the positions that discriminate, the one position
-    when bare keys apply (else None) and the cache; extensions add tables."""
+    """One method set, the only copy of it, and what dispatch derives from it,
+    replaced whole when it changes: the methods, the positions that
+    discriminate, the one position when bare keys apply (else None) and the
+    cache; extensions add tables."""
 
     __slots__ = ("methods", "positions", "single", "cache")
 
@@ -191,6 +193,8 @@ class GenericFunction:
     `cache` is one of "auto" (single bare key when exactly one argument
     position discriminates, else a key tuple), "list" (always a tuple), or
     "none" (a key tuple that selects methods but is never memoized).
+    Method changes are serialised per function, by a lock that calls never
+    take, and each publishes a new state in one store; `methods` is a copy.
     Calling it, or invoke, runs its discriminating_function.
     """
 
@@ -203,8 +207,8 @@ class GenericFunction:
         self.name = name
         self.nargs = nargs
         self.cache_mode = cache
-        self.methods: list[Method] = []
-        self._methods_changed()
+        self._state = self._state_class((), cache)
+        self._lock = threading.Lock()  # serialises method changes; calls never take it
         self.discriminating_function = _discriminating_function(self)
 
     def __repr__(self):
@@ -212,37 +216,33 @@ class GenericFunction:
 
     # -- method set maintenance
 
+    @property
+    def methods(self) -> list[Method]:
+        """A copy of the method set, in definition order."""
+        return list(self._state.methods)
+
     def add_method(self, method: Method) -> Method:
-        """Add `method`, replacing any method with the same qualifier and
-        specializers.  Replaces the dispatch state."""
+        """Add `method`, replacing in place any method with the same qualifier
+        and specializers.  Publishes a new dispatch state."""
         if len(method.specializers) != self.nargs:
             raise ValueError(
                 "%s takes %d arguments, method specializes %d"
                 % (self.name, self.nargs, len(method.specializers))
             )
-        for i, existing in enumerate(self.methods):
-            if existing.qualifier == method.qualifier and all(
-                a == b for a, b in zip(existing.specializers, method.specializers)
-            ):
-                self.methods[i] = method
-                break
-        else:
-            self.methods.append(method)
-        self._methods_changed()
+        with self._lock:
+            methods = self._state.methods
+            i = next((i for i, m in enumerate(methods) if m.qualifier == method.qualifier
+                      and m.specializers == method.specializers), len(methods))
+            self._state = self._state_class(methods[:i] + (method,) + methods[i + 1 :], self.cache_mode)
         return method
 
     def remove_method(self, method: Method):
-        """Remove `method` (by identity).  Replaces the dispatch state."""
-        for i, existing in enumerate(self.methods):
-            if existing is method:
-                del self.methods[i]
-                self._methods_changed()
-                return
-        raise MethodNotFound("%r is not a method of %s" % (method, self.name))
-
-    def _methods_changed(self):
-        """Publish a fresh dispatch state in one store: no call sees two method sets."""
-        self._state = self._state_class(self.methods, self.cache_mode)
+        """Remove `method` (by identity).  Publishes a new dispatch state."""
+        with self._lock:
+            methods = self._state.methods
+            if not any(m is method for m in methods):
+                raise MethodNotFound("%r is not a method of %s" % (method, self.name))
+            self._state = self._state_class(tuple(m for m in methods if m is not method), self.cache_mode)
 
     # -- dispatch protocol: extension points
 

@@ -34,8 +34,10 @@ from gendispatch import (
     Request,
     SignumGenericFunction,
     SignumSpecializer,
+    Specializer,
     class_of,
     intern,
+    make_negotiator,
     read_sexpr,
 )
 from gendispatch import core
@@ -179,6 +181,39 @@ def test_add_method_replaces_on_same_specializers_and_qualifier() -> None:
     gf.add_method(Method([cls_spec("integer")], tagged("b"), qualifier="before"))
     assert len(gf.methods) == 2  # different qualifier is a different method
 
+
+def test_a_replacement_keeps_the_replaced_method_s_place() -> None:
+    # definition order breaks ties between methods and sets the Accept media
+    # index, so a replacement must not move to the end
+    class Universal(Specializer):
+        def accepts(self, obj) -> bool:
+            return True
+
+    first, second = Universal(), Universal()  # distinct, and tied in any order
+    gf = GenericFunction("f", 1)
+    gf.add_method(Method([first], tagged("first")))
+    kept = gf.add_method(Method([second], tagged("second")))
+    assert gf(1) == "first"
+    replacement = gf.add_method(Method([first], tagged("replacement")))
+    assert gf.methods == [replacement, kept]
+    assert gf(1) == "replacement"
+
+    negotiator = make_negotiator(["text/html", "application/json"])
+    negotiator.add_method(Method([AcceptSpecializer("text/html")], tagged("html again")))
+    assert negotiator("*/*") == "html again"  # tied ranks: the first media type wins
+
+
+def test_methods_is_a_copy() -> None:
+    gf = GenericFunction("f", 1)
+    kept = gf.add_method(Method([ANY], tagged("t")))
+    gf.methods.append(Method([cls_spec("integer")], tagged("integer")))
+    assert gf.methods == [kept]
+    assert gf(1) == "t"
+    gf.add_method(Method([cls_spec("float")], tagged("float")))
+    assert gf(1) == "t"
+    assert gf(1.5) == "float"
+    with pytest.raises(AttributeError):
+        gf.methods = []
 
 def test_remove_method_is_by_identity() -> None:
     gf = GenericFunction("f", 1)
@@ -473,6 +508,46 @@ def test_method_changes_under_concurrent_calls_answer_for_one_method_set() -> No
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
 
+
+def test_concurrent_method_changes_lose_no_update() -> None:
+    # the first thread's add_method blocks while its state is built (which
+    # compares every specializer with ANY) as a second thread adds a method
+    armed, entered, release = threading.local(), threading.Event(), threading.Event()
+
+    class Stalling(Specializer):
+        def accepts(self, obj) -> bool:
+            return True
+
+        def __eq__(self, other):
+            if getattr(armed, "on", False):
+                armed.on = False
+                entered.set()
+                release.wait(5)
+            return self is other
+
+    gf = GenericFunction("f", 2)
+    first = Method([Stalling(), ANY], chain("first"))
+    second = Method([ANY, cls_spec("integer")], chain("second"))
+
+    def add_first():
+        armed.on = True
+        gf.add_method(first)
+
+    adders = [threading.Thread(target=add_first, daemon=True),
+              threading.Thread(target=gf.add_method, args=(second,), daemon=True)]
+    adders[0].start()
+    try:
+        assert entered.wait(5)
+        adders[1].start()
+        adders[1].join(0.2)  # it waits for the first change to publish
+    finally:
+        release.set()
+    for thread in adders:
+        thread.join(5)
+    assert not any(thread.is_alive() for thread in adders)
+    assert sorted(map(id, gf.methods)) == sorted(map(id, (first, second)))
+    assert gf("s", 0) == ("first", "second")
+    assert gf("s", "t") == ("first",)
 
 def test_cache_key_shape_single_versus_list() -> None:
     auto = GenericFunction("f", 2, cache="auto")
