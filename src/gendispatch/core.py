@@ -231,7 +231,7 @@ class GenericFunction:
             )
         with self._lock:
             methods = self._state.methods
-            i = next((i for i, m in enumerate(methods) if m.qualifier == method.qualifier
+            i = next((j for j, m in enumerate(methods) if m.qualifier == method.qualifier
                       and m.specializers == method.specializers), len(methods))
             self._state = self._state_class(methods[:i] + (method,) + methods[i + 1 :], self.cache_mode)
         return method

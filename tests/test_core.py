@@ -215,6 +215,7 @@ def test_methods_is_a_copy() -> None:
     with pytest.raises(AttributeError):
         gf.methods = []
 
+
 def test_remove_method_is_by_identity() -> None:
     gf = GenericFunction("f", 1)
     kept = gf.add_method(Method([ANY], tagged("kept")))
@@ -545,7 +546,7 @@ def test_concurrent_method_changes_lose_no_update() -> None:
     for thread in adders:
         thread.join(5)
     assert not any(thread.is_alive() for thread in adders)
-    assert sorted(map(id, gf.methods)) == sorted(map(id, (first, second)))
+    assert gf.methods == [first, second]  # each once, in the order the lock let them in
     assert gf("s", 0) == ("first", "second")
     assert gf("s", "t") == ("first",)
 
