@@ -40,7 +40,9 @@ def intern(name: str) -> Symbol:
     folded = name.lower()
     sym = _symbols.get(folded)
     if sym is None:
-        sym = _symbols[folded] = Symbol(folded)
+        # one atomic store-if-absent, so two threads interning one new name
+        # get the one symbol that landed first
+        sym = _symbols.setdefault(folded, Symbol(folded))
     return sym
 
 

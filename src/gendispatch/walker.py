@@ -7,9 +7,11 @@ The walk_*_form functions are the walk function's method bodies: each takes
 the arguments (form, environment, link), the link being the pair (form, parent
 link) or None above the root, and an unused next-method call; a Diagnostic's
 context is a link made into the tuple of a form and the forms enclosing it.
-So the walker recurses through two frames per nesting level: the walk function
-and one walk_*_form function, in whose frame a lambda or let scope is opened
-and closed.
+A compound form is checked whole, in one pass down its cons chain, before any
+subform of it is walked, so a malformed form reports only itself; the chain is
+then walked in place, with no list of its elements.  The walker recurses
+through two frames per nesting level: the walk function and one walk_*_form
+function, in whose frame a lambda or let scope is opened and closed.
 """
 
 from __future__ import annotations
@@ -159,35 +161,41 @@ def _malformed(expr, env: Environment, link):
     env.out.append(Diagnostic(MALFORMED_FORM, head, _context(link)))
 
 
-def _proper_elements(expr):
-    """The elements of a proper list, or None for any other value."""
-    parts = []
+def _proper(expr) -> bool:
+    """Whether `expr` is a proper list.  One pass down the chain, so that a
+    form is known well-formed before any subform of it is walked."""
     while isinstance(expr, Cons):
-        parts.append(expr.car)
         expr = expr.cdr
-    return parts if expr is NIL else None
+    return expr is NIL
 
 
 def walk_lambda_form(args, _next):
     # (lambda (param...) body...)
     expr, env, link = args
-    parts = _proper_elements(expr)
-    if parts is None or len(parts) < 2:
+    body = expr.cdr
+    if not (isinstance(body, Cons) and _proper(body)):
         _malformed(expr, env, link)
         return
-    params = _proper_elements(parts[1])
-    for p in params or ():
+    params = body.car
+    frame = {}
+    while isinstance(params, Cons):
+        p = params.car
         if not isinstance(p, Symbol) or p is NIL:
-            params = None
-    if params is None:
+            break
+        frame[p] = False
+        params = params.cdr
+    if params is not NIL:
         _malformed(expr, env, link)
         return
     walk = env.walk
     anchor = len(env.out)
-    env.frames.append(dict.fromkeys(params, False))
+    body = body.cdr
+    env.frames.append(frame)
     try:
-        for form in parts[2:]:
+        while body is not NIL:
+            form = body.car
             walk(form, env, (form, link))
+            body = body.cdr
     finally:
         _close_scope(env, link, anchor)
 
@@ -195,32 +203,37 @@ def walk_lambda_form(args, _next):
 def walk_let_form(args, _next):
     # (let ((name init)...) body...); inits are walked in the outer scope
     expr, env, link = args
-    parts = _proper_elements(expr)
-    if parts is None or len(parts) < 2:
+    body = expr.cdr
+    if not (isinstance(body, Cons) and _proper(body)):
         _malformed(expr, env, link)
         return
-    bindings = _proper_elements(parts[1])
-    if bindings is None:
-        _malformed(expr, env, link)
-        return
-    names = []
-    inits = []
-    for b in bindings:
+    bindings = body.car
+    frame = {}
+    while isinstance(bindings, Cons):
+        b = bindings.car
         # a proper two-element list headed by a symbol other than NIL
         if not (isinstance(b, Cons) and isinstance(b.car, Symbol) and b.car is not NIL
                 and isinstance(b.cdr, Cons) and b.cdr.cdr is NIL):
-            _malformed(expr, env, link)
-            return
-        names.append(b.car)
-        inits.append(b.cdr.car)
+            break
+        frame[b.car] = False
+        bindings = bindings.cdr
+    if bindings is not NIL:
+        _malformed(expr, env, link)
+        return
     walk = env.walk
     anchor = len(env.out)
-    for init in inits:
+    bindings = body.car
+    while bindings is not NIL:
+        init = bindings.car.cdr.car
         walk(init, env, (init, link))
-    env.frames.append(dict.fromkeys(names, False))
+        bindings = bindings.cdr
+    body = body.cdr
+    env.frames.append(frame)
     try:
-        for form in parts[2:]:
+        while body is not NIL:
+            form = body.car
             walk(form, env, (form, link))
+            body = body.cdr
     finally:
         _close_scope(env, link, anchor)
 
@@ -241,15 +254,16 @@ def walk_call_form(args, _next):
     # a symbol head names a function and is not a variable reference; any
     # other head is itself a form to walk
     expr, env, link = args
-    parts = _proper_elements(expr)
-    if parts is None:
+    if not _proper(expr):
         _malformed(expr, env, link)
         return
-    if isinstance(parts[0], Symbol):
-        del parts[0]
+    if isinstance(expr.car, Symbol):
+        expr = expr.cdr
     walk = env.walk
-    for form in parts:
+    while expr is not NIL:
+        form = expr.car
         walk(form, env, (form, link))
+        expr = expr.cdr
 
 
 def walk_atom_form(args, _next):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -24,7 +25,8 @@ from gendispatch import (
     iter_list,
     subclass_p,
 )
-from gendispatch.model import compute_precedence_list
+from gendispatch import model
+from gendispatch.model import Symbol, compute_precedence_list
 
 
 def names(classes) -> list[str]:
@@ -35,6 +37,47 @@ def test_symbols_are_interned() -> None:
     assert intern("foo") is intern("foo")
     assert intern("FOO") is intern("foo")
     assert intern("foo") is not intern("bar")
+
+
+def test_two_threads_interning_one_new_name_get_one_symbol(monkeypatch) -> None:
+    # the first thread stalls while it makes the symbol, after its table
+    # probe missed, and a second thread interns the same name meanwhile
+    armed, entered, release = threading.local(), threading.Event(), threading.Event()
+
+    class Stalling(Symbol):
+        __slots__ = ()
+
+        def __init__(self, name: str):
+            if getattr(armed, "on", False):
+                armed.on = False
+                entered.set()
+                release.wait(5)
+            super().__init__(name)
+
+    monkeypatch.setattr(model, "Symbol", Stalling)
+    name = "interned-by-two-threads"
+    got = {}
+
+    def first():
+        armed.on = True
+        got["first"] = intern(name)
+
+    def second():
+        got["second"] = intern(name)
+
+    threads = [threading.Thread(target=first, daemon=True), threading.Thread(target=second, daemon=True)]
+    threads[0].start()
+    try:
+        assert entered.wait(5)
+        threads[1].start()
+        threads[1].join(5)
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(5)
+        model._symbols.pop(name, None)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got["first"] is got["second"]
 
 
 def test_nil_is_the_interned_nil_symbol() -> None:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import random
 import sys
+import threading
 
 import pytest
 
 from gendispatch import NIL, Cons, ParseError, Symbol, cons_list, format_value, intern, iter_list, read_sexpr
+from gendispatch import model, reader
 from gendispatch.reader import _TOKENS
 
 from conftest import oracle_read_sexpr
@@ -241,3 +243,68 @@ def test_interned_number_and_string_spellings_keep_their_reading() -> None:
     for name in ("12", "-1", "1e3", '"a"'):
         intern(name)
     assert typed(read_sexpr("(12 -1 1e3 \"a\")")) == [(int, "12"), (int, "-1"), (float, "1000.0"), (str, "'a'")]
+
+
+def test_the_token_table_keeps_within_its_limit() -> None:
+    limit = reader._ATOMS_LIMIT
+    form = read_sexpr("(%s)" % " ".join(str(n) for n in range(limit + 100)))
+    assert list(iter_list(form)) == list(range(limit + 100))
+    assert len(reader._atoms) <= limit
+
+
+def test_tokens_read_after_a_table_replacement_keep_their_kind() -> None:
+    text = "(12 -1 1.5 1e3 Foo foo +)"
+    expected = [(int, "12"), (int, "-1"), (float, "1.5"), (float, "1000.0"),
+                (Symbol, "foo"), (Symbol, "foo"), (Symbol, "+")]
+    assert typed(read_sexpr(text)) == expected
+    table = reader._atoms
+    # distinct numbers none of which is spelled like a token of `text`
+    read_sexpr("(%s)" % " ".join(str(n) for n in range(10_000, 10_000 + reader._ATOMS_LIMIT)))
+    assert reader._atoms is not table
+    for _ in range(2):  # missed in the new table, then found there
+        form = read_sexpr(text)
+        assert typed(form) == expected
+        assert form.cdr.cdr.cdr.cdr.car is intern("foo")
+
+
+def test_two_threads_read_through_a_small_table_as_the_oracle_reads(monkeypatch) -> None:
+    # a limit of 8 replaces the table every few atoms, while the other thread
+    # reads through the table it took up before the replacement
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(PERFBENCH)
+    rng = random.Random(41)
+    texts = [text for text, _ in inputs.walk_inputs(rng, 60)]
+    texts += ["(%s)" % " ".join(rng.choice(["X%d" % n, str(n), "%d.5" % n, "-%d" % n]) for n in range(40))
+              for _ in range(20)]
+    expected = [typed(oracle_read_sexpr(text)) for text in texts]
+    monkeypatch.setattr(reader, "_ATOMS_LIMIT", 8)
+    failures = []
+
+    def work(t):
+        order = list(range(len(texts)))
+        random.Random(t).shuffle(order)
+        try:
+            for _ in range(15):
+                for i in order:
+                    if typed(read_sexpr(texts[i])) != expected[i]:
+                        failures.append(texts[i])
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    # no paren was ever read as an atom
+    assert "(" not in model._symbols and ")" not in model._symbols

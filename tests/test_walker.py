@@ -102,6 +102,38 @@ def test_malformed_improper_call_form() -> None:
     assert got == [("malformed-form", "let")]
 
 
+def _improper(*items):
+    """A list of `items` whose last pair ends in 3, not NIL."""
+    tail = 3
+    for item in reversed(items):
+        tail = Cons(item, tail)
+    return tail
+
+
+@pytest.mark.parametrize(
+    "form,head",
+    [
+        # (f y . 3), (g (h y) . 3) and ((lambda () y) y . 3)
+        (_improper(intern("f"), intern("y")), "f"),
+        (_improper(intern("g"), cons_list(intern("h"), intern("y"))), "g"),
+        (_improper(read_sexpr("(lambda () y)"), intern("y")), "?"),
+        # (lambda () y . 3) and (lambda (x . 3) y)
+        (_improper(intern("lambda"), NIL, intern("y")), "lambda"),
+        (cons_list(intern("lambda"), _improper(intern("x")), intern("y")), "lambda"),
+        # (let () y . 3), (let ((a y) . 3) a) and (let ((a y) (b)) a)
+        (_improper(intern("let"), NIL, intern("y")), "let"),
+        (cons_list(intern("let"), _improper(read_sexpr("(a y)")), intern("a")), "let"),
+        (read_sexpr("(let ((a y) (b)) a)"), "let"),
+    ],
+)
+def test_a_malformed_form_walks_none_of_its_subforms(form, head: str) -> None:
+    # the whole form is checked before any subform is walked, so the unbound
+    # y in its well-formed prefix is never reported
+    for walker in (Walker(), Walker(cache="none")):
+        assert diagnostic_pairs(walker.check_form(form)) == [("malformed-form", head)]
+    assert diagnostic_pairs(monolithic_check(form)) == [("malformed-form", head)]
+
+
 def test_diagnostic_string_and_context() -> None:
     form = read_sexpr("(lambda (x) y)")
     walker = Walker()
