@@ -58,9 +58,9 @@ def _read_atom(token: str, text: str, index: int):
             raise _error("unterminated string opened", text, index)
         value = token[1:-1]
         return _ESCAPE.sub(r"\1", value) if "\\" in value else value
+    # a letter starts no number, and a token that is no number is a symbol
     m = None if token[0].isalpha() else _NUMBER.fullmatch(token)
     if m is None:
-        # a letter starts no number, so the token is a symbol
         value = intern(token)
     elif m.lastindex:
         try:
