@@ -53,12 +53,20 @@ def time_per_call(fn, runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS
     return 1e6 * sum(central) / len(central)
 
 
-def _results(rows) -> list[BenchResult]:
-    base = rows[0][1]
-    out = [BenchResult(rows[0][0], base, None)]
-    for name, us in rows[1:]:
-        out.append(BenchResult(name, us, (us / base - 1.0) * 100.0))
-    return out
+# each scenario's generalizer rows: (cache mode, row-name suffix)
+_CACHE_ROWS = (("auto", "one-arg-cache"), ("list", "list-cache"), ("none", "no-cache"))
+
+
+def _check_and_time(rows, expected, runs, min_run_seconds, answer=lambda got: got):
+    """Check every (name, call) row's answer against `expected`, then time the
+    rows in order; the first row is the overhead baseline."""
+    for name, call in rows:
+        got = answer(call())
+        if got != expected:
+            raise RuntimeError("%s answered %r, expected %r" % (name, got, expected))
+    times = [time_per_call(call, runs, min_run_seconds) for _, call in rows]
+    overheads = [None] + [(us / times[0] - 1.0) * 100.0 for us in times[1:]]
+    return [BenchResult(name, us, pct) for (name, _), us, pct in zip(rows, times, overheads)]
 
 
 # -- factorial scenario
@@ -95,20 +103,10 @@ def make_fact_standard() -> GenericFunction:
 
 
 def bench_signum(runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS) -> list[BenchResult]:
-    expected = fact_oracle(20)
     standard = make_fact_standard()
-    variants = [
-        ("function", lambda: fact_function(20)),
-        ("standard-gf", lambda: standard(20)),
-        ("signum-gf/one-arg-cache", _caller(make_fact("auto"))),
-        ("signum-gf/list-cache", _caller(make_fact("list"))),
-        ("signum-gf/no-cache", _caller(make_fact("none"))),
-    ]
-    for name, call in variants:
-        got = call()
-        if got != expected:
-            raise RuntimeError("%s computed %r, expected %r" % (name, got, expected))
-    return _results([(name, time_per_call(call, runs, min_run_seconds)) for name, call in variants])
+    rows = [("function", lambda: fact_function(20)), ("standard-gf", lambda: standard(20))]
+    rows += [("signum-gf/" + suffix, _caller(make_fact(mode))) for mode, suffix in _CACHE_ROWS]
+    return _check_and_time(rows, fact_oracle(20), runs, min_run_seconds)
 
 
 def _caller(fact_gf):
@@ -167,19 +165,17 @@ class StandardWalker(Walker):
 def bench_cons(runs: int = RUNS, min_run_seconds: float = MIN_RUN_SECONDS) -> list[BenchResult]:
     form = read_sexpr(FIXTURE_SOURCE)
     standard = StandardWalker()
-    variants = [
+    rows = [
         ("function", lambda: monolithic_check(form)),
         ("standard-gf", lambda: standard.check_form(form)),
-        ("cons-gf/one-arg-cache", _checker(Walker("auto"), form)),
-        ("cons-gf/list-cache", _checker(Walker("list"), form)),
-        ("cons-gf/no-cache", _checker(Walker("none"), form)),
     ]
-    expected = [(d.kind, d.variable) for d in monolithic_check(form)]
-    for name, call in variants:
-        got = [(d.kind, d.variable) for d in call()]
-        if got != expected:
-            raise RuntimeError("%s reported %r, expected %r" % (name, got, expected))
-    return _results([(name, time_per_call(call, runs, min_run_seconds)) for name, call in variants])
+    rows += [("cons-gf/" + suffix, _checker(Walker(mode), form)) for mode, suffix in _CACHE_ROWS]
+    expected = _findings(monolithic_check(form))
+    return _check_and_time(rows, expected, runs, min_run_seconds, _findings)
+
+
+def _findings(diagnostics):
+    return [(d.kind, d.variable) for d in diagnostics]
 
 
 def _checker(walker, form):

@@ -45,10 +45,9 @@ class DispatchError(Exception):
 class NoApplicableMethod(DispatchError):
     def __init__(self, gf, args):
         self.gf_name = gf.name
-        self.args = tuple(args)
         super().__init__(
             "no applicable method for %s on (%s)"
-            % (self.gf_name, ", ".join(format_value(a) for a in self.args))
+            % (self.gf_name, ", ".join(format_value(a) for a in args))
         )
 
 

@@ -170,23 +170,16 @@ def _merge(name, sequences):
             if not any(head in other[1:] for other in sequences):
                 break
         else:
-            raise LinearizationError(name, _conflict_pair(sequences))
+            # every head is blocked: report the first and its first blocker
+            head = sequences[0][0]
+            blocker = next(seq for seq in sequences if head in seq[1:])
+            raise LinearizationError(name, (blocker[0].name, head.name))
         result.append(head)
         for seq in sequences:
             if seq[0] is head:
                 del seq[0]
         sequences = [seq for seq in sequences if seq]
     return result
-
-
-def _conflict_pair(sequences):
-    # every head is blocked; report two that block each other
-    heads = [seq[0] for seq in sequences]
-    for a in heads:
-        for seq in sequences:
-            if a in seq[1:] and seq[0] in heads:
-                return (seq[0].name, a.name)
-    return (heads[0].name, heads[1].name)
 
 
 _BUILTIN_GRAPH = [
@@ -294,13 +287,14 @@ class Request:
         return "#<request %s %s>" % (self.method, self.path)
 
 
-# the class of each host type in the value universe, which class_of probes
-# by exact type first; neither NIL's type nor Instance is in it
+# the class of each host type in the value universe, NIL's included, which
+# class_of probes by exact type first; Instance is not in it
 _EXACT_CLASS_OF = {
     int: _C_INTEGER,
     float: _C_FLOAT,
     str: _C_STRING,
     Symbol: _C_SYMBOL,
+    Nil: _C_NULL,
     Cons: _C_CONS,
     bool: _C_T,
     Request: _C_REQUEST,
@@ -315,8 +309,6 @@ def class_of(value) -> ClassRef:
         return cls
     if isinstance(value, Instance):
         return value.class_ref
-    if value is NIL:
-        return _C_NULL
     # the nearest type in the table, so subclasses classify like their base
     for t in value.__class__.__mro__:
         cls = _EXACT_CLASS_OF.get(t)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from gendispatch import bench_cons, bench_signum, time_per_call
+from gendispatch import bench, bench_cons, bench_signum, time_per_call
 from gendispatch.bench import (
     FIXTURE_SOURCE,
     StandardWalker,
@@ -80,3 +80,29 @@ def test_bench_cons_rows() -> None:
     ]
     assert results[0].overhead_pct is None
     assert all(r.us_per_call > 0 for r in results)
+
+
+def _never_timed(*args, **kwargs):
+    raise AssertionError("a row was timed before every row was checked")
+
+
+def test_a_wrong_signum_row_stops_the_table_before_any_timing(monkeypatch) -> None:
+    monkeypatch.setattr(bench, "make_fact_standard", lambda: lambda n: fact_oracle(n) + 1)
+    monkeypatch.setattr(bench, "time_per_call", _never_timed)
+    with pytest.raises(RuntimeError, match="^standard-gf "):
+        bench_signum(**TINY)
+
+
+class _ReportsOneFinding(Walker):
+    def check_form(self, form):
+        return super().check_form(read_sexpr("(lambda () x)"))
+
+
+def test_a_wrong_cons_row_stops_the_table_before_any_timing(monkeypatch) -> None:
+    def walker(mode):
+        return _ReportsOneFinding(mode) if mode == "list" else Walker(mode)
+
+    monkeypatch.setattr(bench, "Walker", walker)
+    monkeypatch.setattr(bench, "time_per_call", _never_timed)
+    with pytest.raises(RuntimeError, match="^cons-gf/list-cache "):
+        bench_cons(**TINY)

@@ -200,7 +200,11 @@ def test_random_hierarchies_linearize_consistently() -> None:
             supers = rng.sample(defined, k=min(len(defined), rng.randint(1, 2)))
             try:
                 cls = registry.define(name, supers)
-            except LinearizationError:
+            except LinearizationError as err:
+                # the reported pair names two distinct, already defined classes
+                a, b = err.conflict
+                assert a != b
+                assert a in defined and b in defined
                 continue
             cpl = cls.precedence_list
             assert cpl[0] is cls
