@@ -151,8 +151,8 @@ class AcceptGeneralizer(Generalizer):
         return "(accept-generalizer %s)" % " ".join(map(str, self.ranks))
 
 
-# header texts remembered per method set.  Clients repeat a few headers; a full
-# memo starts afresh, so distinct headers cannot grow it without bound
+# header texts and interned preference orders per method set.  Clients repeat a
+# few headers; a full table starts afresh, so neither grows without bound
 MEMO_LIMIT = 1024
 
 
@@ -210,10 +210,14 @@ class AcceptGenericFunction(GenericFunction):
                         qs[i] = _thousandths(q)
             higher = sorted(set(qs), reverse=True)
             ranks = tuple([higher.index(q) + 1 if q else 0 for q in qs])
-            g = state.generalizers.get((ranks, next_generalizer))
+            generalizers = state.generalizers
+            g = generalizers.get((ranks, next_generalizer))
             if g is None:
+                # bounded as the memo is; a generalizer the memo or cache holds still answers
+                if len(generalizers) >= MEMO_LIMIT:
+                    generalizers.clear()
                 g = AcceptGeneralizer(ranks, next_generalizer, state.media_index)
-                state.generalizers[ranks, next_generalizer] = g
+                generalizers[ranks, next_generalizer] = g
             if len(memo) >= MEMO_LIMIT:
                 memo.clear()
             memo[header, next_generalizer] = g

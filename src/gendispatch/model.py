@@ -245,25 +245,32 @@ _C_STRING = CLASSES["string"]
 _C_REQUEST = CLASSES["request"]
 
 
-class Instance:
-    """An instance of a user-defined class: equal to another instance of the
-    same type with equal fields, and unhashable."""
+class Record:
+    """A value with the fields `__match_args__` names: equal to a record of exactly
+    its type with equal fields, unhashable, and printed as `Type(field=value, ...)`."""
 
     __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__match_args__
+        return tuple(getattr(self, f) for f in fields) == tuple(getattr(other, f) for f in fields)
+
+    @recursive_repr()
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__match_args__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class Instance(Record):
+    """An instance of a user-defined class."""
+
     __match_args__ = ("class_ref", "slots")
 
     def __init__(self, class_ref: ClassRef, slots: dict | None = None):
         self.class_ref = class_ref
         self.slots = {} if slots is None else slots
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.class_ref, self.slots) == (other.class_ref, other.slots)
-
-    @recursive_repr()
-    def __repr__(self):
-        return "%s(class_ref=%r, slots=%r)" % (type(self).__qualname__, self.class_ref, self.slots)
 
 
 class Request:

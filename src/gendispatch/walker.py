@@ -16,9 +16,7 @@ function, in whose frame a lambda or let scope is opened and closed.
 
 from __future__ import annotations
 
-from reprlib import recursive_repr
-
-from .model import CLASSES, NIL, Cons, Symbol, class_of, intern
+from .model import CLASSES, NIL, Cons, Record, Symbol, class_of, intern
 from .core import ANY, ClassSpecializer, DispatchState, Generalizer, GenericFunction, Method, Specializer
 from .reader import read_sexpr
 
@@ -97,28 +95,16 @@ class ConsGenericFunction(GenericFunction):
         return super().specializer_accepts_generalizer(s, g)
 
 
-class Diagnostic:
+class Diagnostic(Record):
     """One finding of a walk: its kind, the symbol it is about and the forms
-    enclosing it.  Compared field by field and unhashable."""
+    enclosing it."""
 
-    __hash__ = None
     __match_args__ = ("kind", "variable", "context")
 
     def __init__(self, kind: str, variable: Symbol, context: tuple = ()):
         self.kind = kind
         self.variable = variable
         self.context = context
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.variable, self.context)
-                == (other.kind, other.variable, other.context))
-
-    @recursive_repr()
-    def __repr__(self):
-        fields = (type(self).__qualname__, self.kind, self.variable, self.context)
-        return "%s(kind=%r, variable=%r, context=%r)" % fields
 
     def __str__(self):
         return "%s %s" % (self.kind, self.variable)

@@ -25,6 +25,7 @@ from gendispatch import (
     parse_accept_header,
     quality,
 )
+from gendispatch import accept
 from gendispatch.accept import _FIND_RANGES, MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
 from gendispatch.httpd import make_responder, respond
 from gendispatch.model import ClassRef
@@ -328,6 +329,22 @@ def test_header_spellings_share_cache_entries_within_bounds() -> None:
     header = next(iter(headers))
     g = cached.generalizer_of(header)
     assert cached._state.memo[header, g.next] is g
+
+
+def test_interned_preference_orders_stay_within_bounds(monkeypatch) -> None:
+    limit = 16
+    monkeypatch.setattr(accept, "MEMO_LIMIT", limit)
+    types = ["text/html", "text/plain", "application/json", "application/xml", "image/png", "image/gif"]
+    cached, uncached = make_negotiator(types), make_negotiator(types, cache="none")
+    rng = random.Random(28)
+    orders = set()
+    for _ in range(400):
+        header = ", ".join("%s;q=0.%d" % (t, rng.randint(0, 9)) for t in rng.sample(types, rng.randint(1, 6)))
+        arg = Request("GET", "/", {"Accept": header}) if rng.random() < 0.5 else header
+        assert invoke_outcome(cached, (arg,)) == invoke_outcome(uncached, (arg,))
+        assert len(cached._state.generalizers) <= limit
+        orders.add(cached.generalizer_of(arg).ranks)
+    assert len(orders) > 4 * limit  # the table started afresh several times
 
 
 def test_add_method_reranks_a_known_header() -> None:

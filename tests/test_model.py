@@ -123,6 +123,17 @@ def test_instances_compare_by_fields_and_are_unhashable() -> None:
     assert Instance(point) != object()
     with pytest.raises(TypeError):
         hash(a)
+    match a:
+        case Instance(cls, slots):
+            assert cls is point and slots is a.slots
+        case _:
+            pytest.fail("an instance destructures by position")
+
+    class Tagged(Instance):
+        pass
+
+    assert Tagged(point) == Tagged(point)
+    assert Tagged(point) != Instance(point) and Instance(point) != Tagged(point)
     assert repr(a) == "Instance(class_ref=<class point>, slots={'x': 1})"
     a.slots["self"] = a
     assert repr(a) == "Instance(class_ref=<class point>, slots={'x': 1, 'self': ...})"

@@ -155,6 +155,22 @@ def test_diagnostics_compare_by_fields_and_are_unhashable() -> None:
     assert repr(walk_check("(lambda (x) y)")[0]) == (
         "Diagnostic(kind='unused-binding', variable=x, context=((lambda (x) y),))"
     )
+    form = read_sexpr("(f y)")
+    match Diagnostic(UNBOUND_VARIABLE, intern("y"), (form,)):
+        case Diagnostic(kind, variable, (enclosing,)):
+            assert (kind, variable, enclosing) == (UNBOUND_VARIABLE, intern("y"), form)
+        case _:
+            pytest.fail("a diagnostic destructures by position")
+
+    class Finding(Diagnostic):
+        pass
+
+    assert Finding(UNUSED_BINDING, x) == Finding(UNUSED_BINDING, x)
+    assert Finding(UNUSED_BINDING, x) != Diagnostic(UNUSED_BINDING, x)
+    assert Diagnostic(UNUSED_BINDING, x) != Finding(UNUSED_BINDING, x)
+    looped = Diagnostic(UNUSED_BINDING, x)
+    looped.context = (looped,)
+    assert repr(looped) == "Diagnostic(kind='unused-binding', variable=x, context=(...,))"
 
 
 def test_walk_gf_selection_order_for_a_let_form() -> None:
