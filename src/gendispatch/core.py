@@ -52,7 +52,7 @@ class NoApplicableMethod(DispatchError):
 
 
 class NoPrimaryMethod(DispatchError):
-    def __init__(self, name, args):
+    def __init__(self, name):
         super().__init__("no primary method for %s" % name)
 
 
@@ -357,7 +357,7 @@ class GenericFunction:
 
             def combined(args, _next):
                 if primary is None:
-                    raise NoPrimaryMethod(name, args)
+                    raise NoPrimaryMethod(name)
                 for m in befores:
                     m.body(args, None)
                 body, next_call = primary

@@ -20,14 +20,11 @@ class Symbol:
         self.name = name
 
     def __repr__(self):
-        return self.name
+        return _format_atom(self)
 
 
 class Nil(Symbol):
     """The empty list.  Also a symbol named "nil", as in Lisp."""
-
-    def __repr__(self):
-        return "()"
 
 
 NIL = Nil("nil")
@@ -182,19 +179,42 @@ def _merge(name, sequences):
     return result
 
 
+class Request:
+    """A parsed HTTP request.  Header names are case-insensitive."""
+
+    def __init__(self, method: str, path: str, headers: dict | None = None):
+        self.method = method
+        self.path = path
+        self.headers = {k.lower(): v for k, v in (headers or {}).items()}
+
+    def header(self, name: str):
+        return self.headers.get(name.lower())
+
+    @property
+    def accept(self) -> str:
+        # an absent Accept header means "anything", per HTTP
+        value = self.headers.get("accept")
+        return "*/*" if value is None else value
+
+    def __repr__(self):
+        return "#<request %s %s>" % (self.method, self.path)
+
+
+# each class, its direct superclasses and the host types whose instances are exactly it.
+# bool is t's, so True is not an integer; no row has Instance: class_of asks the instance
 _BUILTIN_GRAPH = [
-    ("t", []),
-    ("number", ["t"]),
-    ("real", ["number"]),
-    ("integer", ["real"]),
-    ("float", ["real"]),
-    ("symbol", ["t"]),
-    ("list", ["t"]),
-    ("null", ["symbol", "list"]),
-    ("cons", ["list"]),
-    ("string", ["t"]),
-    ("standard-object", ["t"]),
-    ("request", ["standard-object"]),
+    ("t", [], (bool,)),
+    ("number", ["t"], ()),
+    ("real", ["number"], ()),
+    ("integer", ["real"], (int,)),
+    ("float", ["real"], (float,)),
+    ("symbol", ["t"], (Symbol,)),
+    ("list", ["t"], ()),
+    ("null", ["symbol", "list"], (Nil,)),
+    ("cons", ["list"], (Cons,)),
+    ("string", ["t"], (str,)),
+    ("standard-object", ["t"], ()),
+    ("request", ["standard-object"], (Request,)),
 ]
 
 
@@ -203,7 +223,7 @@ class ClassRegistry:
 
     def __init__(self):
         self._classes: dict[str, ClassRef] = {}
-        for name, supers in _BUILTIN_GRAPH:
+        for name, supers, _ in _BUILTIN_GRAPH:
             self.define(name, supers)
 
     def define(self, name: str, supers=()) -> ClassRef:
@@ -236,13 +256,8 @@ class ClassRegistry:
 CLASSES = ClassRegistry()
 
 _C_T = CLASSES["t"]
-_C_INTEGER = CLASSES["integer"]
-_C_FLOAT = CLASSES["float"]
-_C_SYMBOL = CLASSES["symbol"]
-_C_NULL = CLASSES["null"]
-_C_CONS = CLASSES["cons"]
-_C_STRING = CLASSES["string"]
-_C_REQUEST = CLASSES["request"]
+# the table class_of probes by exact type first
+_EXACT_CLASS_OF = {t: CLASSES[name] for name, _, types in _BUILTIN_GRAPH for t in types}
 
 
 class Record:
@@ -271,41 +286,6 @@ class Instance(Record):
     def __init__(self, class_ref: ClassRef, slots: dict | None = None):
         self.class_ref = class_ref
         self.slots = {} if slots is None else slots
-
-
-class Request:
-    """A parsed HTTP request.  Header names are case-insensitive."""
-
-    def __init__(self, method: str, path: str, headers: dict | None = None):
-        self.method = method
-        self.path = path
-        self.headers = {k.lower(): v for k, v in (headers or {}).items()}
-
-    def header(self, name: str):
-        return self.headers.get(name.lower())
-
-    @property
-    def accept(self) -> str:
-        # an absent Accept header means "anything", per HTTP
-        value = self.headers.get("accept")
-        return "*/*" if value is None else value
-
-    def __repr__(self):
-        return "#<request %s %s>" % (self.method, self.path)
-
-
-# the class of each host type in the value universe, NIL's included, which
-# class_of probes by exact type first; Instance is not in it
-_EXACT_CLASS_OF = {
-    int: _C_INTEGER,
-    float: _C_FLOAT,
-    str: _C_STRING,
-    Symbol: _C_SYMBOL,
-    Nil: _C_NULL,
-    Cons: _C_CONS,
-    bool: _C_T,
-    Request: _C_REQUEST,
-}
 
 
 def class_of(value) -> ClassRef:

@@ -14,7 +14,8 @@ def signum(x):
     if cls is int:
         return 1 if x > 0 else (-1 if x < 0 else 0)
     if cls is float:
-        return 1.0 if x > 0 else (-1.0 if x < 0 else 0.0)
+        # NaN has no sign: it comes back as itself, equal to no signum value
+        return 1.0 if x > 0 else (-1.0 if x < 0 else x)
     raise TypeError("signum of a non-real: %r" % (x,))
 
 
@@ -69,7 +70,12 @@ class SignumGenericFunction(GenericFunction):
         if cls is int:
             return _PLUS if arg > 0 else (_MINUS if arg < 0 else _ZERO)
         if cls is float:
-            return _PLUS_F if arg > 0 else (_MINUS_F if arg < 0 else _ZERO_F)
+            if arg > 0:
+                return _PLUS_F
+            if arg == 0:
+                return _ZERO_F
+            if arg < 0:
+                return _MINUS_F
         return super().generalizer_of(arg, position)
 
     def specializer_accepts_generalizer(self, s, g):

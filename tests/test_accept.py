@@ -118,6 +118,7 @@ def test_accept_generalizer_wraps_the_class_generalizer() -> None:
     g = gf.generalizer_of("text/html")
     assert isinstance(g, AcceptGeneralizer)
     assert g.ranks == (1, 0)  # html accepted and preferred, plain refused
+    assert repr(g) == "(accept-generalizer 1 0)"
     assert g.next is CLASSES["string"]
     # interned per preference order: another spelling of the same order is
     # the same object, and that object is its own cache key

@@ -281,6 +281,7 @@ def test_definitiveness_ignores_method_order() -> None:
 
 def test_generalizer_defaults() -> None:
     gf = GenericFunction("f", 1)
+    assert repr(gf) == "#<standard-generic-function f/1>"
     gf.add_method(Method([cls_spec("integer")], tagged("integer")))
     g = gf.generalizer_of(3)
     assert isinstance(g, ClassRef)

@@ -37,6 +37,7 @@ def test_symbols_are_interned() -> None:
     assert intern("foo") is intern("foo")
     assert intern("FOO") is intern("foo")
     assert intern("foo") is not intern("bar")
+    assert repr(intern("Foo")) == "foo"
 
 
 def test_two_threads_interning_one_new_name_get_one_symbol(monkeypatch) -> None:
@@ -83,6 +84,7 @@ def test_two_threads_interning_one_new_name_get_one_symbol(monkeypatch) -> None:
 def test_nil_is_the_interned_nil_symbol() -> None:
     assert intern("nil") is NIL
     assert intern("NIL") is NIL
+    assert repr(NIL) == "()"
 
 
 def test_class_of_builtin_values() -> None:
@@ -100,7 +102,7 @@ def test_class_of_builtin_values() -> None:
         (type("Get", (Request,), {})("GET", "/"), "request"),
     ]
     for value, expected in cases:
-        assert class_of(value).name == expected
+        assert class_of(value) is CLASSES[expected], value
 
 
 def test_class_of_is_total_over_host_objects() -> None:
@@ -144,6 +146,15 @@ def test_builtin_precedence_lists() -> None:
     assert names(CLASSES["null"].precedence_list) == ["null", "symbol", "list", "t"]
     assert names(CLASSES["t"].precedence_list) == ["t"]
     assert names(CLASSES["request"].precedence_list) == ["request", "standard-object", "t"]
+    assert "INTEGER" in CLASSES
+    assert "no-such" not in CLASSES
+
+
+def test_a_fresh_registry_defines_the_whole_builtin_graph() -> None:
+    registry = ClassRegistry()
+    for name, *_ in model._BUILTIN_GRAPH:
+        assert registry[name] is not CLASSES[name]
+        assert names(registry[name].precedence_list) == names(CLASSES[name].precedence_list)
 
 
 def test_diamond_linearization() -> None:
@@ -154,6 +165,10 @@ def test_diamond_linearization() -> None:
     registry.define("c", ["a"])
     d = registry.define("d", ["b", "c"])
     assert names(d.precedence_list) == ["d", "b", "c", "a", "t"]
+    # a class object designates itself, as its name does
+    by_object = ClassRegistry()
+    b = by_object.define("b", [by_object.define("a")])
+    assert names(b.precedence_list) == names(registry["b"].precedence_list)
 
 
 def test_local_super_order_is_respected() -> None:
@@ -229,6 +244,7 @@ def test_random_hierarchies_linearize_consistently() -> None:
 def test_eql_distinguishes_numeric_kinds() -> None:
     assert eql(1, 1)
     assert not eql(1, 1.0)
+    assert not eql(True, 1) and not eql(1, True) and not eql(False, 0)
     assert eql(1.0, 1.0)
     assert eql("a", "a")
     assert eql(intern("a"), intern("a"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from gendispatch import (
@@ -66,6 +68,7 @@ def test_signum_generalizer_and_hash_key() -> None:
     g = gf.generalizer_of(7)
     assert isinstance(g, SignumGeneralizer)
     assert g.value == 1 and isinstance(g.value, int)
+    assert repr(g) == "(signum-generalizer 1)"
     assert gf.generalizer_of(3) is g  # equal signs share one generalizer
     assert gf.generalizer_of(7.0) is not g  # but integer and float do not
     assert g.next is CLASSES["integer"]
@@ -141,6 +144,17 @@ def test_fact_has_no_method_for_negatives() -> None:
     fact = make_fact()
     with pytest.raises(NoApplicableMethod):
         fact(-3)
+
+
+@pytest.mark.parametrize("mode", ["auto", "list", "none"])
+def test_nan_has_no_sign_so_fact_has_no_method_for_it(mode) -> None:
+    nan = float("nan")
+    assert math.isnan(signum(nan))
+    assert not SignumSpecializer(0).accepts(nan)
+    fact = make_fact(cache=mode)
+    assert fact.compute_applicable_methods((nan,)) == []
+    with pytest.raises(NoApplicableMethod):
+        fact(nan)
 
 
 def test_fact_cache_keeps_integer_and_float_entries_apart() -> None:

@@ -208,6 +208,7 @@ def test_cons_generalizer_used_only_for_symbol_heads() -> None:
     assert isinstance(g, ConsGeneralizer)
     assert g.car is intern("f")
     assert g.next is cons
+    assert repr(g) == "(cons-generalizer f)"
     assert gf.generalizer_of(read_sexpr("(f 2 3)")) is g  # one per named head
     assert gf.generalizer_of(read_sexpr("(h 1)")) is cons
     assert gf(read_sexpr("(f)")) == "f form"
