@@ -10,9 +10,10 @@ is null, as for a change that claims no gain and only checks that it held.
 Each revision is extracted with `git archive` into its own temporary
 directory, and `perfbench/run.py --trace 0` runs there, against that
 checkout's own src/, for BENCHMARK.json's run_seconds.  A pair is one parent
-run and one change run on the same workload and seed; the side that runs
-first alternates from pair to pair, so a slow phase of a shared machine does
-not fall on one side only.  The file is
+run and one change run on the same workload and seed; within each workload
+the side that runs first alternates from pair to pair, so a slow phase of a
+shared machine does not fall on one side only.  Each workload takes an even
+number of seeds, so that each side runs first equally often.  The file is
 rewritten after every pair, so an interrupted recording keeps the pairs it
 finished.
 
@@ -150,6 +151,14 @@ def parse_pairs(text: str):
     return workload, [int(s) for s in seeds.split(",")]
 
 
+def odd_workloads(pairs) -> list:
+    """The workloads given an odd number of seeds in all, in order."""
+    counts = {}
+    for workload, seeds in pairs:
+        counts[workload] = counts.get(workload, 0) + len(seeds)
+    return [workload for workload, count in counts.items() if count % 2]
+
+
 def git(*args) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -193,6 +202,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    odd = odd_workloads(args.pairs)
+    if odd:
+        print("bench_pairs.py: error: each workload needs an even number of seeds, so that each side "
+              "runs first equally often: %s" % ", ".join(odd), file=sys.stderr)
+        return 2
     metrics = end_to_end_metrics()
     bounds = end_to_end_bounds()
     seconds = benchmark()["run_seconds"]
@@ -201,7 +215,8 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "benchmark": "python3 perfbench/run.py --workload W --seed S --seconds %g --trace 0, "
         "each side in its own checkout (git archive of the commit)" % seconds,
-        "pairing": "one parent run and one change run per seed; the side that runs first alternates from pair to pair",
+        "pairing": "one parent run and one change run per seed; within each workload the side that runs first "
+        "alternates from pair to pair",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "python": platform.python_version(),
@@ -219,9 +234,11 @@ def main(argv=None) -> int:
         for side, sha in shas.items():
             extract(sha, checkouts[side])
         pair = 0
+        workload_pairs = {}  # workload -> pairs of it run so far
         for workload, seeds in args.pairs:
             for seed in seeds:
-                first = ("parent", "change")[pair % 2]
+                first = ("parent", "change")[workload_pairs.get(workload, 0) % 2]
+                workload_pairs[workload] = workload_pairs.get(workload, 0) + 1
                 for side in (first, "change" if first == "parent" else "parent"):
                     result = run_once(checkouts[side], workload, seed, seconds)
                     record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": first, "result": result})

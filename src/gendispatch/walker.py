@@ -5,8 +5,9 @@ A walk keeps all its state in the Environment passed along with each form,
 so walks are independent, even one started from inside another's method.
 The walk_*_form functions are the walk function's method bodies: each takes
 the arguments (form, environment, link), the link being the pair (form, parent
-link) or None above the root, and an unused next-method call; a Diagnostic's
-context is a link made into the tuple of a form and the forms enclosing it.
+link) or None above the root, and an unused next-method call; a Diagnostic
+keeps the link it was reported at, and makes it into its context, the tuple of
+a form and the forms enclosing it, when that is first read.
 A compound form is checked whole, in one pass down its cons chain, before any
 subform of it is walked, so a malformed form reports only itself; the chain is
 then walked in place, with no list of its elements.  The walker recurses
@@ -15,6 +16,8 @@ function, in whose frame a lambda or let scope is opened and closed.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .model import CLASSES, NIL, Cons, Record, Symbol, class_of, intern
 from .core import ANY, ClassSpecializer, DispatchState, Generalizer, GenericFunction, Method, Specializer
@@ -27,6 +30,7 @@ MALFORMED_FORM = "malformed-form"
 _LAMBDA = intern("lambda")
 _LET = intern("let")
 _CONS_GENERALIZER = CLASSES["cons"]
+_new = object.__new__
 
 
 class ConsSpecializer(Specializer):
@@ -97,7 +101,8 @@ class ConsGenericFunction(GenericFunction):
 
 class Diagnostic(Record):
     """One finding of a walk: its kind, the symbol it is about and the forms
-    enclosing it."""
+    enclosing it.  A walk reports it with the link it was found at, and the
+    context tuple is built from that link on first read and kept."""
 
     __match_args__ = ("kind", "variable", "context")
 
@@ -106,8 +111,27 @@ class Diagnostic(Record):
         self.variable = variable
         self.context = context
 
+    @cached_property
+    def context(self) -> tuple:
+        """The forms enclosing the finding, innermost first."""
+        forms = []
+        link = self._link
+        while link is not None:
+            form, link = link
+            forms.append(form)
+        return tuple(forms)
+
     def __str__(self):
         return "%s %s" % (self.kind, self.variable)
+
+
+def _reported(kind: str, variable: Symbol, link) -> Diagnostic:
+    """A diagnostic found at `link`; its context is built only when read."""
+    d = _new(Diagnostic)
+    d.kind = kind
+    d.variable = variable
+    d._link = link
+    return d
 
 
 class Environment:
@@ -122,29 +146,20 @@ class Environment:
         self.walk = walk
 
 
-def _context(link) -> tuple:
-    """The forms a link names, innermost first."""
-    forms = []
-    while link is not None:
-        form, link = link
-        forms.append(form)
-    return tuple(forms)
-
-
 def _close_scope(env: Environment, link, anchor: int):
     """Unbind the innermost frame and report its names never used.  Reports
     are inserted at `anchor`, so that a scope's own diagnostics precede those
     from inside its body.  The body loop stays in the caller: a helper owning
     it would add a frame per nesting level."""
     frame = env.frames.pop()
-    env.out[anchor:anchor] = [
-        Diagnostic(UNUSED_BINDING, name, _context(link)) for name, used in frame.items() if not used
-    ]
+    if all(frame.values()):
+        return
+    env.out[anchor:anchor] = [_reported(UNUSED_BINDING, name, link) for name, used in frame.items() if not used]
 
 
 def _malformed(expr, env: Environment, link):
     head = expr.car if isinstance(expr, Cons) and isinstance(expr.car, Symbol) else intern("?")
-    env.out.append(Diagnostic(MALFORMED_FORM, head, _context(link)))
+    env.out.append(_reported(MALFORMED_FORM, head, link))
 
 
 def _proper(expr) -> bool:
@@ -233,7 +248,7 @@ def walk_symbol_form(args, _next):
         if expr in frame:
             frame[expr] = True
             return
-    env.out.append(Diagnostic(UNBOUND_VARIABLE, expr, _context(link)))
+    env.out.append(_reported(UNBOUND_VARIABLE, expr, link))
 
 
 def walk_call_form(args, _next):

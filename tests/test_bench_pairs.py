@@ -141,6 +141,18 @@ def test_claim_and_claimed_are_optional() -> None:
             bench_pairs.parse_args(base + ["--claimed", claimed])
 
 
+def test_an_odd_number_of_seeds_for_a_workload_is_a_usage_error(capsys) -> None:
+    base = ["--parent", "HEAD~1", "--change", "HEAD", "--slug", "s"]
+    # refused before any revision is extracted or run
+    odd = base + ["--pairs", "walk:1-10", "--pairs", "fact:1-3"]
+    assert bench_pairs.main(odd) == 2
+    assert "even number of seeds" in capsys.readouterr().err
+    assert bench_pairs.odd_workloads(bench_pairs.parse_args(odd).pairs) == ["fact"]
+    # a workload's seeds count over all its --pairs
+    even = base + ["--pairs", "walk:1-3", "--pairs", "fact:4,5", "--pairs", "walk:6"]
+    assert bench_pairs.odd_workloads(bench_pairs.parse_args(even).pairs) == []
+
+
 @pytest.mark.parametrize(
     "name",
     [

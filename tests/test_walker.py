@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import os
 import random
@@ -171,6 +172,30 @@ def test_diagnostics_compare_by_fields_and_are_unhashable() -> None:
     looped = Diagnostic(UNUSED_BINDING, x)
     looped.context = (looped,)
     assert repr(looped) == "Diagnostic(kind='unused-binding', variable=x, context=(...,))"
+
+
+def test_a_walked_context_is_built_once_on_first_read() -> None:
+    form = read_sexpr("(lambda (x) (let ((z 1)) (f y)))")
+    unused_x, unused_z, unbound_y = Walker().check_form(form)
+    assert unbound_y.context is unbound_y.context
+    assert type(unbound_y.context) is tuple and unbound_y.context[0] is intern("y")
+    # assigned before the first read, and after it
+    unused_x.context = ("before",)
+    assert unused_x.context == ("before",)
+    assert unused_z.context[-1] is form
+    unused_z.context = ("after",)
+    assert unused_z.context == ("after",)
+
+
+def test_a_walked_diagnostic_agrees_with_one_built_from_its_fields() -> None:
+    form = read_sexpr("(lambda (x) (let ((z 1)) (f y)))")
+    for copy_before_reading in (True, False):
+        for d in Walker().check_form(form):
+            copied = copy.copy(d) if copy_before_reading else None
+            rebuilt = Diagnostic(d.kind, d.variable, d.context)
+            for same in (d, copied or copy.copy(d)):
+                assert same == rebuilt and rebuilt == same
+                assert repr(same) == repr(rebuilt)
 
 
 def test_walk_gf_selection_order_for_a_let_form() -> None:
