@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --slug NAME \\
         --claim "what improves, and why" --claimed negotiate-distinct:throughput_ops_s \\
-        --pairs negotiate-distinct:1301-1310 --pairs fact:1401-1403
+        --pairs negotiate-distinct:1301-1310 --pairs fact:1401-1404
 
 --claim and --claimed are optional: without --claimed the record's `claimed`
 is null, as for a change that claims no gain and only checks that it held.
