@@ -23,6 +23,11 @@ in how many pairs the change was better.  The claimed metric is met when the
 change is better in at least nine of ten pairs and its median beats the
 parent's by more than the parent's interquartile range.
 
+`pair_ratios` gives, per workload and metric, the median and quartiles of
+the per-pair ratios change / parent.  Drift that both sides of a pair share
+cancels in its ratio, so these stay narrow while it widens each side's own
+quartiles; they are reported beside the claim, which they do not decide.
+
 Two record-level lists of workload:metric read each metric against its
 BENCHMARK.json bound.  `unresolved`: the parent's runs spread, as
 (max - min) / median, wider than the bound, and the change's runs do not all
@@ -104,6 +109,21 @@ def summarize(runs, metrics: dict) -> dict:
             }
         summary[workload] = entry
     return summary
+
+
+def pair_ratios(runs, metrics: dict) -> dict:
+    """Per workload with whole pairs, per metric, the spread of the ratios
+    change / parent of its pairs."""
+    ratios = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        seeds, sides = whole_pairs(runs, workload)
+        if not seeds:
+            continue
+        ratios[workload] = {}
+        for metric in metrics:
+            parent, change = ([results[s]["metrics"][metric]["value"] for s in seeds] for results in sides.values())
+            ratios[workload][metric] = spread([c / p for p, c in zip(parent, change)])
+    return ratios
 
 
 def verdicts(runs, metrics: dict, bounds: dict) -> dict:
@@ -226,6 +246,7 @@ def main(argv=None) -> int:
         "unresolved": [],
         "beyond_bound": [],
         "summary": {},
+        "pair_ratios": {},
         "runs": [],
     }
     out = os.path.join(ROOT, "BENCH_%s.json" % args.slug)
@@ -245,6 +266,7 @@ def main(argv=None) -> int:
                 pair += 1
                 record.update(verdicts(record["runs"], metrics, bounds))
                 record["summary"] = summarize(record["runs"], metrics)
+                record["pair_ratios"] = pair_ratios(record["runs"], metrics)
                 claimed = record["claimed"]
                 if claimed is not None:
                     entry = record["summary"].get(claimed["workload"])

@@ -15,12 +15,14 @@ through which core alone decides class and eql specializers and orders class
 specializers; everything else, including standard method combination and
 effective-method caching, is shared.
 Calling a generic function, gf(...), calls gf.discriminating_function: one
-plain function per generic function, compiled once per arity, whose fixed
-positional-only parameters let CPython run a call from a method body inside
-the caller's interpreter loop, with no C-level call per level of recursion.
-It reads the DispatchState once, computes the generalizers, probes the
-state's cache and runs the cached entry, or on a miss calls _dispatch, the one
-miss path; a method body that recurses should call it directly.
+plain function per generic function, compiled once per arity and generalizer
+rule, whose fixed positional-only parameters let CPython run a call from a
+method body inside the caller's interpreter loop, with no C-level call per
+level of recursion.  It reads the DispatchState once, computes the
+generalizers, probes the state's cache and runs the cached entry, or on a miss
+calls _dispatch, the one miss path; a method body that recurses should call it
+directly.  A class whose generalizer_of is built by generalizer_rule has that
+rule's expression inlined in the single-position path in place of the call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import threading
 import weakref
 from functools import cache, cmp_to_key
 
-from .model import CLASSES, ClassRef, class_of, eql, format_value, subclass_p
+from .model import _EXACT_CLASS_OF, CLASSES, ClassRef, class_of, eql, format_value, subclass_p
 
 QUALIFIERS = ("primary", "before", "after", "around")
 
@@ -173,6 +175,33 @@ class DispatchState:
         self.cache = {}
 
 
+_GENERALIZER_RULE = """\
+def generalizer_of(self, arg, position=0):
+    state = self._state
+    return %s
+"""
+
+# each generalizer_of that generalizer_rule built -> (its fragment, namespace);
+# by identity, so a wrapper, even one that copies its attributes, is not one
+_FRAGMENTS = {}
+
+
+def generalizer_rule(owner: str, fragment: str, namespace: dict):
+    """The generalizer_of method of class `owner`, built from `fragment`: an
+    expression over the argument `arg` and the probed dispatch state `state`,
+    whose other names are looked up in `namespace`, the defining module's
+    globals.  While a class's generalizer_of is such a method, the
+    discriminating functions of its generic functions compute the generalizer
+    of the one dispatch position by the same fragment, inlined."""
+    scope = {}
+    exec(compile(_GENERALIZER_RULE % fragment, "<%s.generalizer_of>" % owner, "exec"), namespace, scope)
+    function = scope["generalizer_of"]
+    function.__qualname__ = owner + ".generalizer_of"
+    function.__doc__ = "The generalizer of `arg`, by the rule %s" % fragment
+    _FRAGMENTS[function] = (fragment, namespace)
+    return function
+
+
 def _specializer_rank(s) -> int:
     # cross-kind precedence: eql beats extension kinds beats class
     if isinstance(s, EqlSpecializer):
@@ -245,10 +274,11 @@ class GenericFunction:
 
     # -- dispatch protocol: extension points
 
-    def generalizer_of(self, arg, position: int = 0) -> Generalizer:
-        """Generalizer of one argument; the default is its class.
-        It is also the cache key, so equal generalizers must be one object."""
-        return class_of(arg)
+    # generalizer_of(arg, position) is the generalizer of one argument, and
+    # also the cache key, so equal generalizers must be one object.  The
+    # default is its class: the exact-type probe of class_of, inlined
+    generalizer_of = generalizer_rule(
+        "GenericFunction", "_EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)", globals())
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
@@ -410,31 +440,37 @@ class GenericFunction:
         return entry[0](args, entry[1])
 
 
-# only the single-position hit path is in this frame, with no unpacked
-# locals: a small frame fills the interpreter's frame-stack chunks later
+# only the single-position hit path is in the inner frame, with no unpacked
+# locals: a small frame fills the interpreter's frame-stack chunks later.  The
+# generalizer is computed by a generalizer rule's fragment or by _CALL
 _DISCRIMINATING_FUNCTION = """\
-def discriminating_function(%s):
-    args = (%s)
-    self = ref()
-    if self is None:
-        raise ReferenceError("the generic function %%s no longer exists" %% name)
-    state = self._state
-    if state.single is None:
-        return self._discriminate(args, state)
-    g = self.generalizer_of(args[state.single], state.single)
-    entry = state.cache.get(g)
-    if entry is None:
-        return self._dispatch(args, (g,), state)
-    return entry[0](args, entry[1])
+def bind(ref, name):
+    def discriminating_function(%s):
+        args = (%s)
+        self = ref()
+        if self is None:
+            raise ReferenceError("the generic function %%s no longer exists" %% name)
+        state = self._state
+        if state.single is None:
+            return self._discriminate(args, state)
+        arg = args[state.single]
+        g = %s
+        entry = state.cache.get(g)
+        if entry is None:
+            return self._dispatch(args, (g,), state)
+        return entry[0](args, entry[1])
+    return discriminating_function
 """
+_CALL = "self.generalizer_of(arg, state.single)"
 
 
 @cache
-def _discriminating_code(nargs):
-    """The code of a discriminating function of `nargs` positional-only
-    parameters, compiled once per arity, as namedtuple builds its __new__."""
+def _discriminating_code(nargs, fragment):
+    """The code that binds a discriminating function of `nargs` positional-only
+    parameters computing the generalizer by `fragment`, compiled once per
+    arity and fragment, as namedtuple builds its __new__."""
     names = "".join("a%d, " % i for i in range(nargs))
-    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names)
+    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names, fragment)
     return compile(source, "<discriminating function/%d>" % nargs, "exec")
 
 
@@ -442,10 +478,13 @@ def _discriminating_function(gf):
     """The discriminating function of `gf`.  It reads gf's dispatch state once
     per call, so it stays valid across method changes and each call sees one
     method set, and it holds gf weakly, so a method body that keeps it does
-    not keep gf alive."""
-    namespace = {"__name__": __name__, "ref": weakref.ref(gf), "name": gf.name}
-    exec(_discriminating_code(gf.nargs), namespace)
-    function = namespace["discriminating_function"]
+    not keep gf alive.  It inlines the fragment of gf's class's generalizer_of
+    when generalizer_rule built that method, and else calls the method: one
+    written by hand, or one wrapped, which then sees every dispatch."""
+    fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, globals()))
+    scope = {}
+    exec(_discriminating_code(gf.nargs, fragment), namespace, scope)
+    function = scope["bind"](weakref.ref(gf), gf.name)
     function.__qualname__ = gf.name  # so a wrong argument count names gf
     return function
 

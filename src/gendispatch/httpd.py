@@ -51,7 +51,8 @@ Response = namedtuple("Response", ["status", "content_type", "body"])
 
 
 def format_response(response: Response) -> bytes:
-    head = "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n" % (
+    # the server answers one request per connection, so it says so (RFC 9112 9.6)
+    head = "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n" % (
         response.status,
         _REASONS.get(response.status, ""),  # the reason phrase may be empty (RFC 9112 4)
         response.content_type,

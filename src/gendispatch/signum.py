@@ -5,7 +5,7 @@ motivates it: one method for sign 0, one for sign 1.
 from __future__ import annotations
 
 from .model import class_of
-from .core import Generalizer, GenericFunction, Method, Specializer
+from .core import Generalizer, GenericFunction, Method, Specializer, generalizer_rule
 
 
 def signum(x):
@@ -65,18 +65,11 @@ _PLUS_F, _ZERO_F, _MINUS_F = (SignumGeneralizer(v) for v in (1.0, 0.0, -1.0))
 class SignumGenericFunction(GenericFunction):
     kind = "signum"
 
-    def generalizer_of(self, arg, position: int = 0):
-        cls = arg.__class__
-        if cls is int:
-            return _PLUS if arg > 0 else (_MINUS if arg < 0 else _ZERO)
-        if cls is float:
-            if arg > 0:
-                return _PLUS_F
-            if arg == 0:
-                return _ZERO_F
-            if arg < 0:
-                return _MINUS_F
-        return super().generalizer_of(arg, position)
+    # an int or a float by its sign, and NaN or any other value by its class
+    generalizer_of = generalizer_rule("SignumGenericFunction", (
+        "(_PLUS if arg > 0 else _MINUS if arg < 0 else _ZERO) if arg.__class__ is int"
+        " else (_PLUS_F if arg > 0 else _ZERO_F if arg == 0 else _MINUS_F if arg < 0 else class_of(arg))"
+        " if arg.__class__ is float else class_of(arg)"), globals())
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, SignumSpecializer):

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .model import CLASSES, NIL, Cons, Record, Symbol, class_of, intern
 from .core import ANY, ClassSpecializer, DispatchState, Generalizer, GenericFunction, Method, Specializer
+from .core import generalizer_rule
 from .reader import read_sexpr
 
 UNUSED_BINDING = "unused-binding"
@@ -84,11 +85,11 @@ class ConsGenericFunction(GenericFunction):
     kind = "cons"
     _state_class = _ConsState
 
-    def generalizer_of(self, arg, position: int = 0):
-        if isinstance(arg, Cons):
-            car = arg.car  # probed only if a symbol: a cons is unhashable
-            return self._state.heads.get(car, _CONS_GENERALIZER) if isinstance(car, Symbol) else _CONS_GENERALIZER
-        return class_of(arg)
+    # a cons by its head's generalizer (its car is probed only if a symbol: a
+    # cons is unhashable), and any other value by its class
+    generalizer_of = generalizer_rule("ConsGenericFunction", (
+        "(state.heads.get(car, _CONS_GENERALIZER) if isinstance(car := arg.car, Symbol) else _CONS_GENERALIZER)"
+        " if isinstance(arg, Cons) else class_of(arg)"), globals())
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):

@@ -110,6 +110,15 @@ def test_a_metric_is_beyond_bound_when_its_median_is_worse_by_more_than_the_boun
         ("BENCH_discriminating_arity.json", ["fact:setup_s", "negotiate-distinct:setup_s"], []),
         ("BENCH_one_miss_path.json", ["walk:setup_s", "fact:setup_s"], ["negotiate-distinct:setup_s"]),
         ("BENCH_one_miss_path_negotiate.json", ["negotiate-distinct:setup_s"], []),
+        ("BENCH_dispatch_state.json", ["fact:setup_s"], []),
+        ("BENCH_method_set.json", ["fact:setup_s", "negotiate-distinct:setup_s"], []),
+        ("BENCH_walk_atoms.json", ["walk:setup_s", "fact:setup_s", "http:setup_s"], []),
+        ("BENCH_one_table.json", ["fact:setup_s", "walk:setup_s", "http:setup_s", "negotiate-distinct:setup_s"],
+         ["walk:setup_s"]),
+        ("BENCH_one_record.json", ["fact:setup_s", "walk:setup_s", "negotiate-distinct:setup_s"], ["walk:setup_s"]),
+        ("BENCH_one_class_table.json", ["fact:setup_s", "negotiate-distinct:setup_s"], ["fact:setup_s"]),
+        ("BENCH_lazy_context.json", ["walk:setup_s", "http:throughput_ops_s", "http:latency_p50_us",
+                                     "http:latency_p99_us", "http:setup_s", "negotiate-distinct:setup_s"], []),
     ],
 )
 def test_verdicts_of_recorded_files(name, unresolved, beyond_bound) -> None:
@@ -120,6 +129,27 @@ def test_verdicts_of_recorded_files(name, unresolved, beyond_bound) -> None:
     if "unresolved" in record:  # written by the recorder since it gives verdicts
         assert {key: record[key] for key in found} == found
         assert bench_pairs.summarize(record["runs"], bench_pairs.end_to_end_metrics()) == record["summary"]
+
+
+def test_pair_ratios_see_past_drift_that_both_sides_share() -> None:
+    # the parent climbs from 100 to 190 over the recording and the change
+    # stays 5% ahead: each side's quartiles spread widely, each pair's ratio does not
+    runs = []
+    for seed in range(1, 11):
+        parent = 90 + 10 * seed
+        runs += [run("w", seed, "parent", parent, 1e6 / parent), run("w", seed, "change", 1.05 * parent, 1e6 / (1.05 * parent))]
+    runs.append(run("w", 11, "change", 1, 1))  # half a pair is left out
+    ratios = bench_pairs.pair_ratios(runs, METRICS)
+    assert ratios == {"w": {"throughput_ops_s": {"median": 1.05, "q1": 1.05, "q3": 1.05},
+                            "latency_p50_us": {"median": 0.9524, "q1": 0.9524, "q3": 0.9524}}}
+    entry = bench_pairs.summarize(runs, METRICS)["w"]
+    assert entry["throughput_ops_s"]["change_better_in"] == "10 of 10"
+    assert not bench_pairs.claim_met(entry, "throughput_ops_s", "higher")  # the rule is unchanged
+    # on a recorded file: the walk gain of BENCH_lazy_context.json
+    with open(os.path.join(ROOT, "BENCH_lazy_context.json")) as f:
+        record = json.load(f)
+    walk = bench_pairs.pair_ratios(record["runs"], bench_pairs.end_to_end_metrics())["walk"]
+    assert walk["throughput_ops_s"] == {"median": 1.0642, "q1": 1.0399, "q3": 1.0858}
 
 
 def test_pair_specs_parse() -> None:

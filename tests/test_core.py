@@ -808,3 +808,98 @@ def test_a_discriminating_function_outliving_its_function_names_it() -> None:
     gc.collect()
     with pytest.raises(ReferenceError, match="generic function lost"):
         df(1)
+
+
+class _Float(float):
+    pass
+
+
+def _rule_cases():
+    """(kind, generic function class, a method specializer that makes position
+    0 the one dispatch position) for each generalizer rule."""
+    return [
+        ("standard", GenericFunction, cls_spec("number")),
+        ("signum", SignumGenericFunction, SignumSpecializer(0)),
+        ("cons", ConsGenericFunction, ConsSpecializer(intern("f"))),
+    ]
+
+
+def _recording_misses(gf):
+    """Record (args, key) for every miss of gf, as its discriminating function
+    hands them to _dispatch."""
+    misses = []
+    dispatch = gf._dispatch
+
+    def recording(args, key, state):
+        misses.append((args, key))
+        return dispatch(args, key, state)
+
+    gf._dispatch = recording
+    return misses
+
+
+@pytest.mark.parametrize("kind, cls, specializer", _rule_cases())
+def test_the_compiled_hit_path_and_generalizer_of_give_one_object(kind, cls, specializer) -> None:
+    # the single-position hit path computes the generalizer by the rule's
+    # fragment inlined; the key it probes with is generalizer_of's own object
+    f = intern("f")
+    values = value_kinds() + [
+        0, 7, -4, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2.5, _Float(1.5),
+        Cons(intern("g"), NIL), Cons(Cons(f, NIL), NIL), Cons(f, 3),
+    ]
+    gf = cls("probe", 1)
+    method = gf.add_method(Method([specializer], tagged(kind)))
+    misses = _recording_misses(gf)
+    for v in values:
+        gf.add_method(method)  # a fresh state, so the first call misses
+        first = _call_outcome(gf, (v,))
+        assert _call_outcome(gf, (v,)) == first  # the hit
+        (args, (key,)), = misses
+        misses.clear()
+        assert args[0] is v
+        assert key is gf.generalizer_of(v), (kind, v)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cons", "signum"])
+def test_compiled_rules_agree_with_generalizer_of_on_random_configurations(kind) -> None:
+    rng = random.Random(3131)
+    for _ in range(150):
+        seed = rng.getrandbits(32)
+        runs = []
+        for mode in ("auto", "list", "none"):
+            gf, arglists = random_config(random.Random(seed), cache=mode, calls=10, kind=kind)
+            misses = _recording_misses(gf)
+            runs.append([invoke_outcome(gf, args) for args in arglists])
+            positions = gf._state.positions
+            for args, key in misses:
+                expected = tuple(gf.generalizer_of(args[i], i) for i in positions)
+                assert len(key) == len(expected) and all(a is b for a, b in zip(key, expected)), (seed, args)
+        assert runs[0] == runs[1] == runs[2], seed
+
+
+def test_only_a_class_with_a_rule_built_generalizer_of_inlines_it() -> None:
+    # an inherited rule is inlined, so an instance attribute named
+    # generalizer_of is never called; a hand-written one is called per dispatch
+    calls = []
+
+    class Inheriting(SignumGenericFunction):
+        pass
+
+    class Handwritten(SignumGenericFunction):
+        def generalizer_of(self, arg, position=0):
+            calls.append(arg)
+            return super().generalizer_of(arg, position)
+
+    def fact_of(cls):
+        fact = cls("fact", 1)
+        recurse = fact.discriminating_function
+        fact.add_method(Method([SignumSpecializer(0)], lambda args, _next: 1))
+        fact.add_method(Method([SignumSpecializer(1)], lambda args, _next: args[0] * recurse(args[0] - 1)))
+        return fact
+
+    inheriting = fact_of(Inheriting)
+    inheriting.generalizer_of = lambda arg, position=0: calls.append(arg)
+    assert inheriting(5) == 120
+    assert calls == []
+    assert fact_of(Handwritten)(5) == 120
+    assert calls == [5, 4, 3, 2, 1, 0]

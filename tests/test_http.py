@@ -78,6 +78,7 @@ def test_format_response_framing_is_exact() -> None:
         b"HTTP/1.1 200 OK\r\n"
         b"Content-Type: text/plain\r\n"
         b"Content-Length: 6\r\n"
+        b"Connection: close\r\n"
         b"\r\n"
         b"hello\n"
     )
@@ -168,6 +169,29 @@ def test_server_over_a_real_socket() -> None:
     assert not thread.is_alive()
 
 
+def test_every_response_says_the_connection_closes() -> None:
+    # one request per connection (RFC 9112 9.6): a client that pipelines two
+    # requests gets one response, which says so, and then the close
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, None, 2), daemon=True)
+    thread.start()
+    try:
+        for raw, status, body in (
+            (request_bytes("image/png"), b"HTTP/1.1 406 Not Acceptable", b"not acceptable\n"),
+            (request_bytes("text/plain") + request_bytes("text/html"), b"HTTP/1.1 200 OK", b"hello\n"),
+        ):
+            head, _, rest = fetch(port, raw).partition(b"\r\n\r\n")
+            lines = head.split(b"\r\n")
+            assert lines[0] == status
+            assert b"Connection: close" in lines[1:]
+            assert rest == body
+    finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
 def test_any_status_is_framed_and_the_server_keeps_serving() -> None:
     # a status without a known reason phrase gets an empty one
     assert format_response(Response(404, "text/plain", b"")).startswith(b"HTTP/1.1 404 \r\n")
@@ -179,7 +203,8 @@ def test_any_status_is_framed_and_the_server_keeps_serving() -> None:
     try:
         for _ in range(2):
             out = fetch(port, request_bytes("text/plain"))
-            assert out == b"HTTP/1.1 404 \r\nContent-Type: text/plain\r\nContent-Length: 10\r\n\r\nnot found\n"
+            assert out == (b"HTTP/1.1 404 \r\nContent-Type: text/plain\r\nContent-Length: 10\r\n"
+                           b"Connection: close\r\n\r\nnot found\n")
     finally:
         thread.join(timeout=5)
         sock.close()
