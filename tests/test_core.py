@@ -814,14 +814,13 @@ class _Float(float):
     pass
 
 
-def _rule_cases():
-    """(kind, generic function class, a method specializer that makes position
-    0 the one dispatch position) for each generalizer rule."""
-    return [
-        ("standard", GenericFunction, cls_spec("number")),
-        ("signum", SignumGenericFunction, SignumSpecializer(0)),
-        ("cons", ConsGenericFunction, ConsSpecializer(intern("f"))),
-    ]
+# per generalizer rule: (kind, generic function class, a method specializer
+# that makes position 0 the one dispatch position)
+_RULE_CASES = [
+    ("standard", GenericFunction, cls_spec("number")),
+    ("signum", SignumGenericFunction, SignumSpecializer(0)),
+    ("cons", ConsGenericFunction, ConsSpecializer(intern("f"))),
+]
 
 
 def _recording_misses(gf):
@@ -838,7 +837,7 @@ def _recording_misses(gf):
     return misses
 
 
-@pytest.mark.parametrize("kind, cls, specializer", _rule_cases())
+@pytest.mark.parametrize("kind, cls, specializer", _RULE_CASES)
 def test_the_compiled_hit_path_and_generalizer_of_give_one_object(kind, cls, specializer) -> None:
     # the single-position hit path computes the generalizer by the rule's
     # fragment inlined; the key it probes with is generalizer_of's own object
