@@ -192,7 +192,8 @@ def generalizer_rule(owner: str, fragment: str, namespace: dict):
     whose other names are looked up in `namespace`, the defining module's
     globals.  While a class's generalizer_of is such a method, the
     discriminating functions of its generic functions compute the generalizer
-    of the one dispatch position by the same fragment, inlined."""
+    of the one dispatch position by the same fragment, inlined, with a copy of
+    those globals taken when each is built."""
     scope = {}
     exec(compile(_GENERALIZER_RULE % fragment, "<%s.generalizer_of>" % owner, "exec"), namespace, scope)
     function = scope["generalizer_of"]
@@ -440,34 +441,32 @@ class GenericFunction:
         return entry[0](args, entry[1])
 
 
-# only the single-position hit path is in the inner frame, with no unpacked
+# only the single-position hit path is in this frame, with no unpacked
 # locals: a small frame fills the interpreter's frame-stack chunks later.  The
 # generalizer is computed by a generalizer rule's fragment or by _CALL
 _DISCRIMINATING_FUNCTION = """\
-def bind(ref, name):
-    def discriminating_function(%s):
-        args = (%s)
-        self = ref()
-        if self is None:
-            raise ReferenceError("the generic function %%s no longer exists" %% name)
-        state = self._state
-        if state.single is None:
-            return self._discriminate(args, state)
-        arg = args[state.single]
-        g = %s
-        entry = state.cache.get(g)
-        if entry is None:
-            return self._dispatch(args, (g,), state)
-        return entry[0](args, entry[1])
-    return discriminating_function
+def discriminating_function(%s):
+    args = (%s)
+    self = ref()
+    if self is None:
+        raise ReferenceError("the generic function %%s no longer exists" %% name)
+    state = self._state
+    if state.single is None:
+        return self._discriminate(args, state)
+    arg = args[state.single]
+    g = %s
+    entry = state.cache.get(g)
+    if entry is None:
+        return self._dispatch(args, (g,), state)
+    return entry[0](args, entry[1])
 """
 _CALL = "self.generalizer_of(arg, state.single)"
 
 
 @cache
 def _discriminating_code(nargs, fragment):
-    """The code that binds a discriminating function of `nargs` positional-only
-    parameters computing the generalizer by `fragment`, compiled once per
+    """The code of a discriminating function of `nargs` positional-only
+    parameters that computes the generalizer by `fragment`, compiled once per
     arity and fragment, as namedtuple builds its __new__."""
     names = "".join("a%d, " % i for i in range(nargs))
     source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names, fragment)
@@ -481,10 +480,12 @@ def _discriminating_function(gf):
     not keep gf alive.  It inlines the fragment of gf's class's generalizer_of
     when generalizer_rule built that method, and else calls the method: one
     written by hand, or one wrapped, which then sees every dispatch."""
-    fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, globals()))
-    scope = {}
-    exec(_discriminating_code(gf.nargs, fragment), namespace, scope)
-    function = scope["bind"](weakref.ref(gf), gf.name)
+    fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
+    # its globals are its own: the fragment's module's names, copied (closure
+    # cells for ref and name would enlarge the frame), and those two
+    namespace = dict(namespace, ref=weakref.ref(gf), name=gf.name)
+    exec(_discriminating_code(gf.nargs, fragment), namespace)
+    function = namespace["discriminating_function"]
     function.__qualname__ = gf.name  # so a wrong argument count names gf
     return function
 
