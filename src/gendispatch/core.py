@@ -18,11 +18,13 @@ Calling a generic function, gf(...), calls gf.discriminating_function: one
 plain function per generic function, compiled once per arity and generalizer
 rule, whose fixed positional-only parameters let CPython run a call from a
 method body inside the caller's interpreter loop, with no C-level call per
-level of recursion.  It reads the DispatchState once, computes the
+level of recursion.  It reads STATE, the DispatchState that its own globals
+hold and each method change replaces, once per call, computes the
 generalizers, probes the state's cache and runs the cached entry, or on a miss
-calls _dispatch, the one miss path; a method body that recurses should call it
-directly.  A class whose generalizer_of is built by generalizer_rule has that
-rule's expression inlined in the single-position path in place of the call.
+calls _dispatch, the one miss path, through its weak reference to gf; a method
+body that recurses should call it directly.  A class whose generalizer_of is
+built by generalizer_rule has that rule's expression inlined in the
+single-position path in place of the call.
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ class GenericFunction:
     position discriminates, else a key tuple), "list" (always a tuple), or
     "none" (a key tuple that selects methods but is never memoized).
     Method changes are serialised per function, by a lock that calls never
-    take, and each publishes a new state in one store; `methods` is a copy.
+    take, and each publishes a new state in one store, into the globals of the
+    discriminating function, where `_state` reads it; `methods` is a copy.
     Calling it, or invoke, runs its discriminating_function.
     """
 
@@ -236,7 +239,6 @@ class GenericFunction:
         self.name = name
         self.nargs = nargs
         self.cache_mode = cache
-        self._state = self._state_class((), cache)
         self._lock = threading.Lock()  # serialises method changes; calls never take it
         self.discriminating_function = _discriminating_function(self)
 
@@ -244,6 +246,13 @@ class GenericFunction:
         return "#<%s-generic-function %s/%d>" % (self.kind, self.name, self.nargs)
 
     # -- method set maintenance
+
+    @property
+    def _state(self) -> DispatchState:  # the one copy: its discriminating function's STATE
+        return self.discriminating_function.__globals__["STATE"]
+
+    def _publish(self, methods):
+        self.discriminating_function.__globals__["STATE"] = self._state_class(methods, self.cache_mode)
 
     @property
     def methods(self) -> list[Method]:
@@ -262,7 +271,7 @@ class GenericFunction:
             methods = self._state.methods
             i = next((j for j, m in enumerate(methods) if m.qualifier == method.qualifier
                       and m.specializers == method.specializers), len(methods))
-            self._state = self._state_class(methods[:i] + (method,) + methods[i + 1 :], self.cache_mode)
+            self._publish(methods[:i] + (method,) + methods[i + 1 :])
         return method
 
     def remove_method(self, method: Method):
@@ -271,7 +280,7 @@ class GenericFunction:
             methods = self._state.methods
             if not any(m is method for m in methods):
                 raise MethodNotFound("%r is not a method of %s" % (method, self.name))
-            self._state = self._state_class(tuple(m for m in methods if m is not method), self.cache_mode)
+            self._publish(tuple(m for m in methods if m is not method))
 
     # -- dispatch protocol: extension points
 
@@ -443,24 +452,25 @@ class GenericFunction:
 
 # only the single-position hit path is in this frame, with no unpacked
 # locals: a small frame fills the interpreter's frame-stack chunks later.  The
-# generalizer is computed by a generalizer rule's fragment or by _CALL
+# generalizer is computed by a generalizer rule's fragment or by _CALL; only a
+# miss, a key tuple or _CALL reads ref
 _DISCRIMINATING_FUNCTION = """\
 def discriminating_function(%s):
     args = (%s)
+    state = STATE
+    if state.single is not None:
+        arg = %s
+        g = %s
+        entry = state.cache.get(g)
+        if entry is not None:
+            return entry[0](args, entry[1])
     self = ref()
     if self is None:
         raise ReferenceError("the generic function %%s no longer exists" %% name)
-    state = self._state
-    if state.single is None:
-        return self._discriminate(args, state)
-    arg = args[state.single]
-    g = %s
-    entry = state.cache.get(g)
-    if entry is None:
-        return self._dispatch(args, (g,), state)
-    return entry[0](args, entry[1])
+    return self._discriminate(args, state) if state.single is None else self._dispatch(args, (g,), state)
 """
-_CALL = "self.generalizer_of(arg, state.single)"
+_CALL = "ref().generalizer_of(arg, state.single)"
+_GONE = DispatchState((), "none")  # a collected function's STATE: every call reaches ref
 
 
 @cache
@@ -468,22 +478,24 @@ def _discriminating_code(nargs, fragment):
     """The code of a discriminating function of `nargs` positional-only
     parameters that computes the generalizer by `fragment`, compiled once per
     arity and fragment, as namedtuple builds its __new__."""
-    names = "".join("a%d, " % i for i in range(nargs))
-    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names, fragment)
+    names, arg = "".join("a%d, " % i for i in range(nargs)), "a0" if nargs == 1 else "args[state.single]"
+    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names, arg, fragment)
     return compile(source, "<discriminating function/%d>" % nargs, "exec")
 
 
 def _discriminating_function(gf):
-    """The discriminating function of `gf`.  It reads gf's dispatch state once
-    per call, so it stays valid across method changes and each call sees one
-    method set, and it holds gf weakly, so a method body that keeps it does
-    not keep gf alive.  It inlines the fragment of gf's class's generalizer_of
-    when generalizer_rule built that method, and else calls the method: one
-    written by hand, or one wrapped, which then sees every dispatch."""
+    """The discriminating function of `gf`, whose globals hold gf's dispatch
+    state as STATE, from an empty one on: read once per call, so each call
+    sees one method set, and replaced by each method change.  It holds gf
+    weakly, so a method body that keeps it does not keep gf alive.  It
+    inlines the fragment of gf's class's generalizer_of when generalizer_rule
+    built that method, and else calls the method: one written by hand, or one
+    wrapped, which then sees every dispatch."""
     fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
     # its globals are its own: the fragment's module's names, copied (closure
-    # cells for ref and name would enlarge the frame), and those two
-    namespace = dict(namespace, ref=weakref.ref(gf), name=gf.name)
+    # cells would enlarge the frame), gf's state, a weak reference and gf's name
+    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name)
+    namespace["ref"] = weakref.ref(gf, lambda _ref: namespace.__setitem__("STATE", _GONE))
     exec(_discriminating_code(gf.nargs, fragment), namespace)
     function = namespace["discriminating_function"]
     function.__qualname__ = gf.name  # so a wrong argument count names gf

@@ -5,6 +5,7 @@ dispatching on the request's Accept header.  One request per connection.
 from __future__ import annotations
 
 import functools
+import re
 import socket
 import time
 import traceback
@@ -15,7 +16,8 @@ from .core import Method, NoApplicableMethod
 from .accept import AcceptGenericFunction, AcceptSpecializer, _constantly
 
 MAX_HEADER_BYTES = 65536
-REQUEST_SECONDS = 5.0  # to send the whole request head, however it is dripped
+MAX_BODY_BYTES = 1 << 20  # of a declared body, read and discarded before the close
+REQUEST_SECONDS = 5.0  # to send the whole request head and body, however it is dripped
 
 _REASONS = {200: "OK", 400: "Bad Request", 406: "Not Acceptable", 500: "Internal Server Error"}
 
@@ -114,8 +116,7 @@ def open_server_socket(port: int) -> socket.socket:
     return sock
 
 
-def _read_request(conn: socket.socket) -> bytes:
-    deadline = time.monotonic() + REQUEST_SECONDS
+def _read_request(conn: socket.socket, deadline: float) -> bytes:
     chunks = b""
     while b"\r\n\r\n" not in chunks and len(chunks) < MAX_HEADER_BYTES:
         remaining = deadline - time.monotonic()
@@ -129,6 +130,27 @@ def _read_request(conn: socket.socket) -> bytes:
     return chunks
 
 
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.IGNORECASE)
+
+
+def _discard_body(conn: socket.socket, raw: bytes, deadline: float):
+    """Read and drop what is left of the body that the head of `raw` declares,
+    up to MAX_BODY_BYTES and the deadline: closing a socket with unread bytes
+    resets the connection, and the client may lose its response."""
+    head, _sep, body = raw.partition(b"\r\n\r\n")
+    declared = _CONTENT_LENGTH.search(head)
+    left = min(int(declared[1]), MAX_BODY_BYTES) - len(body) if declared else 0
+    while left > 0:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return
+        conn.settimeout(remaining)
+        data = conn.recv(min(65536, left))
+        if not data:
+            return
+        left -= len(data)
+
+
 def serve_forever(sock: socket.socket, responder=None, max_requests: int | None = None):
     """Accept loop: one request per connection, sequentially.  A responder
     that raises gets its client a 500.  A request limit is only used by tests."""
@@ -136,7 +158,8 @@ def serve_forever(sock: socket.socket, responder=None, max_requests: int | None 
     while max_requests is None or handled < max_requests:
         conn, _addr = sock.accept()
         try:
-            raw = _read_request(conn)
+            deadline = time.monotonic() + REQUEST_SECONDS
+            raw = _read_request(conn, deadline)
             if raw:
                 try:
                     response = handle_raw(raw, responder)
@@ -144,6 +167,7 @@ def serve_forever(sock: socket.socket, responder=None, max_requests: int | None 
                     traceback.print_exc()
                     response = format_response(_INTERNAL_ERROR)
                 conn.sendall(response)
+                _discard_body(conn, raw, deadline)
         except OSError:
             pass  # a dropped connection must not stop the server
         finally:

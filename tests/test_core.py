@@ -810,6 +810,64 @@ def test_a_discriminating_function_outliving_its_function_names_it() -> None:
         df(1)
 
 
+@pytest.mark.parametrize("mode", ["auto", "list", "none"])
+def test_functions_of_one_class_and_arity_share_code_but_not_state(mode) -> None:
+    # the code is compiled once per arity and rule; each function's dispatch
+    # state lives in its own discriminating function's globals
+    a, b = GenericFunction("a", 1, cache=mode), GenericFunction("b", 1, cache=mode)
+    assert a.discriminating_function.__code__ is b.discriminating_function.__code__
+    a.add_method(Method([cls_spec("integer")], tagged("a integer")))
+    for _ in range(2):  # a miss, then (but for "none") a hit
+        assert a(1) == "a integer"
+        with pytest.raises(NoApplicableMethod):
+            b(1)
+    b.add_method(Method([cls_spec("number")], tagged("b number")))
+    for _ in range(2):
+        assert (a(1), b(1), b(1.5)) == ("a integer", "b number", "b number")
+        with pytest.raises(NoApplicableMethod):
+            a(1.5)
+    assert a._state is not b._state
+    assert [m.body(None, None) for m in a.methods] == ["a integer"]
+
+
+class _HandwrittenSignum(SignumGenericFunction):
+    def generalizer_of(self, arg, position=0):
+        return super().generalizer_of(arg, position)
+
+
+def _accepting(media_type):
+    return Request("GET", "/", {"Accept": media_type})
+
+
+# (kind, class, specializer, an argument it hits, one it never saw): the
+# signum and cons rules are inlined, Accept's and a hand-written one called
+_OUTLIVING_CASES = [
+    ("signum", SignumGenericFunction, SignumSpecializer(1), 5, 0),
+    ("cons", ConsGenericFunction, ConsSpecializer(intern("f")), Cons(intern("f"), NIL), Cons(intern("g"), NIL)),
+    ("accept", AcceptGenericFunction, AcceptSpecializer("text/html"), _accepting("text/html"), _accepting("image/png")),
+    ("handwritten", _HandwrittenSignum, SignumSpecializer(1), 5, 0),
+]
+
+
+@pytest.mark.parametrize("kind, cls, specializer, hit, unseen", _OUTLIVING_CASES, ids=[c[0] for c in _OUTLIVING_CASES])
+def test_an_outliving_discriminating_function_names_its_function_on_hits_and_misses(
+    kind, cls, specializer, hit, unseen
+) -> None:
+    # a collected function's state is replaced by one that no call can hit,
+    # so an argument that hit before raises the same ReferenceError as a miss
+    gf = cls("lost", 1)
+    gf.add_method(Method([specializer], tagged(kind)))
+    df = gf.discriminating_function
+    assert df(hit) == df(hit) == kind
+    gone = weakref.ref(gf)
+    del gf
+    gc.collect()
+    assert gone() is None
+    for args in (hit, unseen, hit):
+        with pytest.raises(ReferenceError, match="generic function lost"):
+            df(args)
+
+
 class _Float(float):
     pass
 

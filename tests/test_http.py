@@ -298,3 +298,45 @@ def test_a_slow_client_holds_the_server_only_until_its_deadline(drip_bytes, monk
         thread.join(timeout=5)
         sock.close()
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("size", [10_000, 100_000])
+def test_a_request_body_is_read_before_the_close(size) -> None:
+    # closing with unread body bytes would reset the connection, and the
+    # client would lose its response
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, None, 3), daemon=True)
+    thread.start()
+    head = b"POST / HTTP/1.1\r\nAccept: text/plain\r\nContent-Length: %d\r\n\r\n" % size
+    try:
+        for _ in range(3):
+            out = fetch(port, head + b"x" * size)
+            assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert out.endswith(b"hello\n")
+    finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
+def test_a_body_that_never_finishes_holds_the_server_only_until_its_deadline(monkeypatch) -> None:
+    monkeypatch.setattr(httpd, "REQUEST_SECONDS", 1.0)
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, None, 2), daemon=True)
+    thread.start()
+    unfinished = socket.create_connection(("127.0.0.1", port), timeout=5)
+    try:
+        unfinished.sendall(b"POST / HTTP/1.1\r\nAccept: text/plain\r\nContent-Length: 100000\r\n\r\n" + b"x" * 10)
+        assert unfinished.recv(4096).startswith(b"HTTP/1.1 200 OK\r\n")  # answered, then drained
+        start = time.monotonic()
+        out = fetch(port, request_bytes("text/plain"))
+        elapsed = time.monotonic() - start
+        assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert elapsed < 2.0
+    finally:
+        unfinished.close()
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
