@@ -247,9 +247,8 @@ class GenericFunction:
 
     # -- method set maintenance
 
-    @property
-    def _state(self) -> DispatchState:  # the one copy: its discriminating function's STATE
-        return self.discriminating_function.__globals__["STATE"]
+    # the one copy of the DispatchState: its discriminating function's STATE
+    _state = property(lambda self: self.discriminating_function.__globals__["STATE"])
 
     def _publish(self, methods):
         self.discriminating_function.__globals__["STATE"] = self._state_class(methods, self.cache_mode)
@@ -485,12 +484,11 @@ def _discriminating_code(nargs, fragment):
 
 def _discriminating_function(gf):
     """The discriminating function of `gf`, whose globals hold gf's dispatch
-    state as STATE, from an empty one on: read once per call, so each call
-    sees one method set, and replaced by each method change.  It holds gf
-    weakly, so a method body that keeps it does not keep gf alive.  It
-    inlines the fragment of gf's class's generalizer_of when generalizer_rule
-    built that method, and else calls the method: one written by hand, or one
-    wrapped, which then sees every dispatch."""
+    state as STATE: read once per call, so each call sees one method set, and
+    replaced by each method change.  It holds gf weakly, so a method body that
+    keeps it does not keep gf alive.  It inlines the fragment of gf's class's
+    generalizer_of when generalizer_rule built that method, and else calls the
+    method: one written by hand, or one wrapped, which then sees every dispatch."""
     fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
     # its globals are its own: the fragment's module's names, copied (closure
     # cells would enlarge the frame), gf's state, a weak reference and gf's name

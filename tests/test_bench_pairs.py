@@ -191,6 +191,7 @@ def test_an_odd_number_of_seeds_for_a_workload_is_a_usage_error(capsys) -> None:
         "BENCH_discriminating_arity.json",
         "BENCH_cons_heads.json",
         "BENCH_class_generalizer.json",
+        "BENCH_state_globals.json",
     ],
 )
 def test_summary_reproduces_a_recorded_file(name) -> None:
