@@ -1,6 +1,6 @@
 """Run the CI checks on every Python from 3.10 to 3.13 found on PATH.
 
-    python3 scripts/matrix.py [--pytest-path DIR] [--versions 3.10 3.12]
+    python3 scripts/matrix.py [--pytest-path DIR]
 
 For each version it looks up `python3.X` on PATH and runs, from this
 checkout's src/:
@@ -130,10 +130,9 @@ def check(version, pytest_path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pytest-path", help="a directory put on the path for tier-1, where pytest can import")
-    parser.add_argument("--versions", nargs="+", default=VERSIONS, help="Python versions, as X.Y")
     args = parser.parse_args(argv)
     failed = False
-    for version in args.versions:
+    for version in VERSIONS:
         ok, line = check(version, args.pytest_path)
         print(line, flush=True)
         failed |= not ok

@@ -247,11 +247,11 @@ class GenericFunction:
 
     # -- method set maintenance
 
-    # the one copy of the DispatchState: its discriminating function's STATE
-    _state = property(lambda self: self.discriminating_function.__globals__["STATE"])
+    # the one copy of the DispatchState: STATE in its discriminating function's globals
+    _state = property(lambda self: self._globals["STATE"])
 
     def _publish(self, methods):
-        self.discriminating_function.__globals__["STATE"] = self._state_class(methods, self.cache_mode)
+        self._globals["STATE"] = self._state_class(methods, self.cache_mode)
 
     @property
     def methods(self) -> list[Method]:
@@ -465,11 +465,15 @@ def discriminating_function(%s):
             return entry[0](args, entry[1])
     self = ref()
     if self is None:
-        raise ReferenceError("the generic function %%s no longer exists" %% name)
+        _gone(name)
     return self._discriminate(args, state) if state.single is None else self._dispatch(args, (g,), state)
 """
-_CALL = "ref().generalizer_of(arg, state.single)"
+_CALL = "(self if (self := ref()) is not None else _gone(name)).generalizer_of(arg, state.single)"
 _GONE = DispatchState((), "none")  # a collected function's STATE: every call reaches ref
+
+
+def _gone(name):
+    raise ReferenceError("the generic function %s no longer exists" % name)
 
 
 @cache
@@ -491,9 +495,10 @@ def _discriminating_function(gf):
     method: one written by hand, or one wrapped, which then sees every dispatch."""
     fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
     # its globals are its own: the fragment's module's names, copied (closure
-    # cells would enlarge the frame), gf's state, a weak reference and gf's name
-    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name)
+    # cells would enlarge the frame), gf's state, a weak reference, gf's name and _gone
+    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name, _gone=_gone)
     namespace["ref"] = weakref.ref(gf, lambda _ref: namespace.__setitem__("STATE", _GONE))
+    gf._globals = namespace  # where _state reads and _publish stores
     exec(_discriminating_code(gf.nargs, fragment), namespace)
     function = namespace["discriminating_function"]
     function.__qualname__ = gf.name  # so a wrong argument count names gf

@@ -5,7 +5,6 @@ dispatching on the request's Accept header.  One request per connection.
 from __future__ import annotations
 
 import functools
-import re
 import socket
 import time
 import traceback
@@ -94,13 +93,16 @@ def _default_responder() -> AcceptGenericFunction:
     return make_responder()
 
 
-def handle_raw(raw: bytes, responder=None) -> bytes:
+def handle_raw(raw: bytes, responder=None, parsed: list | None = None) -> bytes:
     """Full request-to-bytes path: parse, negotiate, frame.  Malformed input
-    yields a 400 instead of an exception."""
+    yields a 400 instead of an exception.  The parsed Request is appended to
+    `parsed`, if given, so that the server reads its head only once."""
     try:
         request = parse_http_request(raw)
     except HttpParseError:
         return format_response(_BAD_REQUEST)
+    if parsed is not None:
+        parsed.append(request)
     return format_response(respond(responder or _default_responder(), request))
 
 
@@ -130,16 +132,18 @@ def _read_request(conn: socket.socket, deadline: float) -> bytes:
     return chunks
 
 
-_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.IGNORECASE)
-
-
-def _discard_body(conn: socket.socket, raw: bytes, deadline: float):
-    """Read and drop what is left of the body that the head of `raw` declares,
-    up to MAX_BODY_BYTES and the deadline: closing a socket with unread bytes
-    resets the connection, and the client may lose its response."""
-    head, _sep, body = raw.partition(b"\r\n\r\n")
-    declared = _CONTENT_LENGTH.search(head)
-    left = min(int(declared[1]), MAX_BODY_BYTES) - len(body) if declared else 0
+def _discard_body(conn: socket.socket, request: Request, raw: bytes, deadline: float):
+    """Read and drop the rest of the body that the request declares, past
+    what `raw` holds, up to MAX_BODY_BYTES and the deadline: closing a socket
+    with unread bytes resets the connection, and the client may lose its
+    response.  A Content-Length that is not one run of ASCII digits declares
+    none."""
+    digits = request.headers.get("content-length", "").lstrip("0")
+    if not (digits.isascii() and digits.isdigit()):
+        return
+    # a length longer than the cap's is not converted: int() refuses 4300 digits
+    declared = MAX_BODY_BYTES if len(digits) > len(str(MAX_BODY_BYTES)) else min(int(digits), MAX_BODY_BYTES)
+    left = declared - len(raw.partition(b"\r\n\r\n")[2])
     while left > 0:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -161,13 +165,15 @@ def serve_forever(sock: socket.socket, responder=None, max_requests: int | None 
             deadline = time.monotonic() + REQUEST_SECONDS
             raw = _read_request(conn, deadline)
             if raw:
+                parsed = []
                 try:
-                    response = handle_raw(raw, responder)
+                    response = handle_raw(raw, responder, parsed)
                 except Exception:  # a failing responder must not stop the server
                     traceback.print_exc()
                     response = format_response(_INTERNAL_ERROR)
                 conn.sendall(response)
-                _discard_body(conn, raw, deadline)
+                if parsed:
+                    _discard_body(conn, parsed[0], raw, deadline)
         except OSError:
             pass  # a dropped connection must not stop the server
         finally:

@@ -868,6 +868,24 @@ def test_an_outliving_discriminating_function_names_its_function_on_hits_and_mis
             df(args)
 
 
+@pytest.mark.parametrize("kind, cls, specializer, hit, unseen", _OUTLIVING_CASES[2:], ids=["accept", "handwritten"])
+def test_the_call_path_names_a_function_collected_after_the_state_was_read(
+    kind, cls, specializer, hit, unseen
+) -> None:
+    # another thread may drop the last reference between reading a live STATE
+    # and calling generalizer_of through ref; a dead ref stands in for that
+    gf = cls("lost", 1)
+    gf.add_method(Method([specializer], tagged(kind)))
+    df = gf.discriminating_function
+    assert df(hit) == kind
+    dropped = _Float(0.0)
+    dead, dropped = weakref.ref(dropped), None
+    df.__globals__["ref"] = dead
+    for args in (hit, unseen):
+        with pytest.raises(ReferenceError, match="generic function lost"):
+            df(args)
+
+
 class _Float(float):
     pass
 

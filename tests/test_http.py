@@ -340,3 +340,25 @@ def test_a_body_that_never_finishes_holds_the_server_only_until_its_deadline(mon
         thread.join(timeout=5)
         sock.close()
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "length",
+    # past int()'s 4300-digit limit, and a Latin-1 digit that isdigit() accepts
+    [b"9" * 5000, b"\xb2"],
+    ids=["5000 digits", "latin-1 digit"],
+)
+def test_an_odd_content_length_is_answered_and_the_server_keeps_serving(length) -> None:
+    sock = open_server_socket(0)
+    port = sock.getsockname()[1]
+    thread = threading.Thread(target=serve_forever, args=(sock, None, 2), daemon=True)
+    thread.start()
+    try:
+        out = fetch(port, b"POST / HTTP/1.1\r\nAccept: text/plain\r\nContent-Length: " + length + b"\r\n\r\n")
+        assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+        out = fetch(port, request_bytes("text/plain"))
+        assert out.startswith(b"HTTP/1.1 200 OK\r\n")
+    finally:
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()

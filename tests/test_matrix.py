@@ -27,6 +27,6 @@ def test_bisect_finds_the_last_depth_that_fits() -> None:
 
 
 def test_an_interpreter_not_on_the_path_is_skipped_with_its_reason(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(matrix.shutil, "which", lambda name: None)
-    assert matrix.main(["--versions", "3.99", "3.98"]) == 0
+    monkeypatch.setattr(matrix, "VERSIONS", ["3.99", "3.98"])
+    assert matrix.main([]) == 0
     assert capsys.readouterr().out == "python3.99: skipped: not on PATH\npython3.98: skipped: not on PATH\n"
