@@ -14,7 +14,9 @@ shares one cache entry.  Per method set, a match table maps each range that
 can match the function's media types to them, so ranking is one probe per
 range, a grammar parses only the types and subtypes in that table, and a
 bounded memo maps header text to its generalizer, so a repeated header is
-not parsed again.
+not parsed again.  The rule is built by core.generalizer_rule, so the
+discriminating function probes that memo inline and calls _rank only for a
+header it has not seen.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import re
 from collections import namedtuple
 from functools import cache, lru_cache
 
-from .model import ClassRef, Request, class_of
-from .core import DispatchState, Generalizer, GenericFunction
+from .model import CLASSES, ClassRef, Request, class_of
+from .core import DispatchState, Generalizer, GenericFunction, generalizer_rule
 from .core import Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
@@ -185,43 +187,63 @@ class _AcceptState(DispatchState):
         return self.find
 
 
+def _weight(q: str) -> int:
+    # 0 when q refuses, else 1001 - thousandths: a higher q weighs less
+    return (1001 - _thousandths(q)) % 1001
+
+
+# every ASCII q spelling _GRAMMAR admits, and "" for a missing q
+_WEIGHTS = {q: _weight(q) for q in ["", "0", "0.", "1", "1.", "1.0", "1.00", "1.000"]
+            + ["0.%0*d" % (n, i) for n in (1, 2, 3) for i in range(10**n)]}
+_REQUEST, _STRING = CLASSES["request"], CLASSES["string"]
+
+
+def _rank(state, header: str, next_generalizer: ClassRef) -> AcceptGeneralizer:
+    """The generalizer of a header that state's memo lacks, interned and memoized there."""
+    # each media type's weight from its most specific range, the first of equals
+    matches = state.matches
+    weights = [0] * len(state.media_index)
+    specificities = weights[:]
+    for type_, subtype, q in (state.find or state.compile_find())(header.lower()):
+        specificity, indexes = matches.get((type_, subtype), (0, ()))
+        for i in indexes:
+            if specificity > specificities[i]:
+                specificities[i] = specificity
+                # a q of other Unicode digits is weighed, not stored: the table stays bounded
+                weights[i] = _WEIGHTS[q] if q in _WEIGHTS else _weight(q)
+    ranks = tuple(map(sorted({0, *weights}).index, weights))  # dense, 0 for refused
+    generalizers = state.generalizers
+    g = generalizers.get((ranks, next_generalizer))
+    if g is None:
+        # bounded as the memo is; a generalizer the memo or cache holds still answers
+        if len(generalizers) >= MEMO_LIMIT:
+            generalizers.clear()
+        g = generalizers[ranks, next_generalizer] = AcceptGeneralizer(ranks, next_generalizer, state.media_index)
+    memo = state.memo
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[header, next_generalizer] = g
+    return g
+
+
+def _generalize(state, arg):
+    # the rule for an argument that is not exactly a request or a string
+    header, next_generalizer = _header_of(arg), class_of(arg)
+    if header is None:
+        return next_generalizer
+    return state.memo.get((header, next_generalizer)) or _rank(state, header, next_generalizer)
+
+
 class AcceptGenericFunction(GenericFunction):
     kind = "accept"
     _state_class = _AcceptState
 
-    def generalizer_of(self, arg, position: int = 0):
-        next_generalizer = class_of(arg)
-        header = _header_of(arg)
-        if header is None:
-            return next_generalizer
-        state = self._state  # read once: ranked, interned and memoized in one layout
-        memo = state.memo
-        g = memo.get((header, next_generalizer))
-        if g is None:
-            # each media type's q from its most specific range, the first of equals
-            matches = state.matches
-            qs = [0] * len(state.media_index)
-            specificities = qs[:]
-            for type_, subtype, q in (state.find or state.compile_find())(header.lower()):
-                specificity, indexes = matches.get((type_, subtype), (0, ()))
-                for i in indexes:
-                    if specificity > specificities[i]:
-                        specificities[i] = specificity
-                        qs[i] = _thousandths(q)
-            higher = sorted(set(qs), reverse=True)
-            ranks = tuple([higher.index(q) + 1 if q else 0 for q in qs])
-            generalizers = state.generalizers
-            g = generalizers.get((ranks, next_generalizer))
-            if g is None:
-                # bounded as the memo is; a generalizer the memo or cache holds still answers
-                if len(generalizers) >= MEMO_LIMIT:
-                    generalizers.clear()
-                g = AcceptGeneralizer(ranks, next_generalizer, state.media_index)
-                generalizers[ranks, next_generalizer] = g
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            memo[header, next_generalizer] = g
-        return g
+    # a request or a string by its header's memoized generalizer, ranked on a
+    # miss, and any other value by _generalize
+    generalizer_of = generalizer_rule("AcceptGenericFunction", (
+        "(state.memo.get((header := arg.accept, _REQUEST)) or _rank(state, header, _REQUEST))"
+        " if arg.__class__ is Request else (state.memo.get((arg, _STRING)) or _rank(state, arg, _STRING))"
+        " if arg.__class__ is str else _generalize(state, arg)"), globals())
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, AcceptSpecializer):

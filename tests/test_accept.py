@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 import threading
@@ -28,7 +29,7 @@ from gendispatch import (
 from gendispatch import accept
 from gendispatch.accept import _FIND_RANGES, MEMO_LIMIT, AcceptTree, MediaRange, _media_ranges, _negotiator
 from gendispatch.httpd import make_responder, respond
-from gendispatch.model import ClassRef
+from gendispatch.model import ClassRef, class_of
 
 from conftest import invoke_outcome, oracle_media_ranges, random_config, random_header
 
@@ -346,6 +347,71 @@ def test_interned_preference_orders_stay_within_bounds(monkeypatch) -> None:
         assert len(cached._state.generalizers) <= limit
         orders.add(cached.generalizer_of(arg).ranks)
     assert len(orders) > 4 * limit  # the table started afresh several times
+
+
+class WrappedNegotiator(AcceptGenericFunction):
+    """Accept's rule behind a wrapper, so its discriminating function calls it."""
+
+    generalizer_of = functools.wraps(AcceptGenericFunction.generalizer_of)(
+        lambda self, arg, position=0: AcceptGenericFunction.generalizer_of(self, arg, position))
+
+
+class SubclassedHeader(str):
+    pass
+
+
+def dispatched_generalizer(gf, arg):
+    """The outcome of dispatching `arg` from an empty cache, and the one key
+    the discriminating function stored: the generalizer it computed."""
+    gf._state.cache.clear()
+    outcome = invoke_outcome(gf, (arg,))
+    (g,) = gf._state.cache
+    return outcome, g
+
+
+AGREEMENT_Q_HEADERS = {
+    "text/html;q=1, application/xml;q=1., text/plain;q=1.000": (1, 1, 1),
+    "text/html;q=0.5, application/xml;q=0.50, text/plain;q=0.500": (1, 1, 1),
+    "text/html;q=0, application/xml;q=0.000, text/plain;q=0.": (0, 0, 0),
+    "text/html;q=1., application/xml;q=0.50, text/plain;q=0.": (1, 2, 0),
+    "text/html;q=0.500, application/xml;q=0.000, text/plain;q=1": (2, 0, 1),
+    "text/html;q=0.\u0665, text/plain": (2, 0, 1),  # an Arabic-Indic five ranks as q=0.5
+    "text/html;q=0.\u0665, application/xml;q=0.5": (1, 1, 0),
+}
+
+
+def test_the_compiled_rule_and_the_called_rule_intern_the_same_generalizers() -> None:
+    # the discriminating function inlines Accept's rule; a wrapped copy of
+    # the rule is called instead, and both must key the cache alike
+    media_types = ["text/html", "application/xml", "text/plain"]
+    compiled, called = make_negotiator(media_types), WrappedNegotiator("negotiate", 1)
+    for method in compiled.methods:
+        called.add_method(method)
+    assert "generalizer_of" not in compiled.discriminating_function.__code__.co_names
+    assert "generalizer_of" in called.discriminating_function.__code__.co_names
+    weights = len(accept._WEIGHTS)
+    rng = random.Random(33)
+    headers = [random_spelling(rng) for _ in range(300)] + list(AGREEMENT_Q_HEADERS)
+    cases = [(header, preference_order(header)) for header in headers]
+    cases += [(Request("GET", "/"), (1, 1, 1)), (Request("GET", "/", {"Accept": ""}), (0, 0, 0)), (42, None)]
+    for header, ranks in cases:
+        arg_kinds = [header] if not isinstance(header, str) else [
+            header, Request("GET", "/", {"Accept": header}), SubclassedHeader(header)]
+        for arg in arg_kinds:
+            outcome, g = dispatched_generalizer(compiled, arg)
+            other_outcome, other = dispatched_generalizer(called, arg)
+            assert outcome == other_outcome, arg
+            assert g is compiled.generalizer_of(arg) and other is called.generalizer_of(arg)
+            if ranks is None:  # not a header: its class
+                assert g is other is CLASSES["integer"]
+                continue
+            expected = (AcceptGeneralizer, ranks, class_of(arg))
+            assert (type(g), g.ranks, g.next) == (type(other), other.ranks, other.next) == expected, arg
+            for gf, interned in ((compiled, g), (called, other)):
+                assert gf._state.generalizers[interned.ranks, interned.next] is interned
+    for header, ranks in AGREEMENT_Q_HEADERS.items():
+        assert preference_order(header) == ranks, header
+    assert len(accept._WEIGHTS) == weights == 1118  # each ASCII q spelling and ""; other digits are not stored
 
 
 def test_add_method_reranks_a_known_header() -> None:

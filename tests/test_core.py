@@ -835,18 +835,25 @@ class _HandwrittenSignum(SignumGenericFunction):
         return super().generalizer_of(arg, position)
 
 
+class _HandwrittenAccept(AcceptGenericFunction):
+    def generalizer_of(self, arg, position=0):
+        return super().generalizer_of(arg, position)
+
+
 def _accepting(media_type):
     return Request("GET", "/", {"Accept": media_type})
 
 
 # (kind, class, specializer, an argument it hits, one it never saw): the
-# signum and cons rules are inlined, Accept's and a hand-written one called
+# signum, cons and Accept rules are inlined, a hand-written one called
 _OUTLIVING_CASES = [
     ("signum", SignumGenericFunction, SignumSpecializer(1), 5, 0),
     ("cons", ConsGenericFunction, ConsSpecializer(intern("f")), Cons(intern("f"), NIL), Cons(intern("g"), NIL)),
     ("accept", AcceptGenericFunction, AcceptSpecializer("text/html"), _accepting("text/html"), _accepting("image/png")),
     ("handwritten", _HandwrittenSignum, SignumSpecializer(1), 5, 0),
 ]
+# the call path, taken by hand-written rules: an Accept-shaped one and a signum one
+_CALL_PATH_CASES = [("accept", _HandwrittenAccept) + _OUTLIVING_CASES[2][2:], _OUTLIVING_CASES[3]]
 
 
 @pytest.mark.parametrize("kind, cls, specializer, hit, unseen", _OUTLIVING_CASES, ids=[c[0] for c in _OUTLIVING_CASES])
@@ -868,7 +875,7 @@ def test_an_outliving_discriminating_function_names_its_function_on_hits_and_mis
             df(args)
 
 
-@pytest.mark.parametrize("kind, cls, specializer, hit, unseen", _OUTLIVING_CASES[2:], ids=["accept", "handwritten"])
+@pytest.mark.parametrize("kind, cls, specializer, hit, unseen", _CALL_PATH_CASES, ids=["accept", "handwritten"])
 def test_the_call_path_names_a_function_collected_after_the_state_was_read(
     kind, cls, specializer, hit, unseen
 ) -> None:
