@@ -23,8 +23,9 @@ hold and each method change replaces, once per call, computes the
 generalizers, probes the state's cache and runs the cached entry, or on a miss
 calls _dispatch, the one miss path, through its weak reference to gf; a method
 body that recurses should call it directly.  A class whose generalizer_of is
-built by generalizer_rule has that rule's expression inlined in the
-single-position path in place of the call.
+built by generalizer_rule, as the class, signum, cons and Accept rules are,
+has that rule's expression inlined in the single-position path in place of
+the call; one written by hand or wrapped is called.
 """
 
 from __future__ import annotations
