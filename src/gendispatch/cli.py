@@ -17,6 +17,7 @@ _DEMO_TYPES = ["text/html", "application/xml", "text/plain"]
 
 
 def _number(text: str):
+    """fact's operand: an int, else a finite float; a ValueError says why not."""
     try:
         return int(text)
     except ValueError:
@@ -24,9 +25,12 @@ def _number(text: str):
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("not a number: %r" % text)
+        raise ValueError("not a number: %r" % text) from None
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if digits.isdecimal():  # an integer that int() refused for its length
+        raise ValueError("integer too long: %d digits (limit %d)" % (len(digits), sys.get_int_max_str_digits()))
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+        raise ValueError("not a finite number: %r" % text)
     return value
 
 
@@ -38,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("file", help="file containing one s-expression")
 
     fact = commands.add_parser("fact", help="factorial via sign-dispatched methods")
-    fact.add_argument("n", type=_number)
+    fact.add_argument("n")
 
     neg = commands.add_parser("negotiate", help="pick a media type for an Accept header")
     neg.add_argument("header")
@@ -106,9 +110,14 @@ def _cmd_walk(path: str) -> int:
     return 0
 
 
-def _cmd_fact(n) -> int:
+def _cmd_fact(text: str) -> int:
     from .signum import make_fact
 
+    try:
+        n = _number(text)
+    except ValueError as exc:
+        print("gendispatch: %s" % exc, file=sys.stderr)
+        return 2
     try:
         print(make_fact()(n))
         return 0

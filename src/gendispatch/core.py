@@ -450,24 +450,21 @@ class GenericFunction:
         return entry[0](args, entry[1])
 
 
-# only the single-position hit path is in this frame, with no unpacked
-# locals: a small frame fills the interpreter's frame-stack chunks later.  The
-# generalizer is computed by a generalizer rule's fragment or by _CALL; only a
-# miss, a key tuple or _CALL reads ref
+# only the single-position hit path is in this frame, and a one-parameter
+# function's frame holds no argument tuple and no copy of its argument: a small
+# frame fills the interpreter's frame-stack chunks later, so deep recursion
+# crosses them less often.  The generalizer is computed by a generalizer rule's
+# fragment or by _CALL; only a miss, a key tuple or _CALL reads ref
 _DISCRIMINATING_FUNCTION = """\
 def discriminating_function(%s):
-    args = (%s)
-    state = STATE
-    if state.single is not None:
-        arg = %s
-        g = %s
-        entry = state.cache.get(g)
-        if entry is not None:
-            return entry[0](args, entry[1])
-    self = ref()
-    if self is None:
-        _gone(name)
-    return self._discriminate(args, state) if state.single is None else self._dispatch(args, (g,), state)
+%s    state = STATE
+    if state.single is None:
+        return _live(ref, name)._discriminate(%s, state)
+%s    g = %s
+    entry = state.cache.get(g)
+    if entry is not None:
+        return entry[0](%s, entry[1])
+    return _live(ref, name)._dispatch(%s, (g,), state)
 """
 _CALL = "(self if (self := ref()) is not None else _gone(name)).generalizer_of(arg, state.single)"
 _GONE = DispatchState((), "none")  # a collected function's STATE: every call reaches ref
@@ -477,13 +474,28 @@ def _gone(name):
     raise ReferenceError("the generic function %s no longer exists" % name)
 
 
+def _live(ref, name):
+    """The generic function that `ref` refers to; else _gone(name) raises."""
+    gf = ref()
+    if gf is None:
+        _gone(name)
+    return gf
+
+
 @cache
 def _discriminating_code(nargs, fragment):
     """The code of a discriminating function of `nargs` positional-only
     parameters that computes the generalizer by `fragment`, compiled once per
-    arity and fragment, as namedtuple builds its __new__."""
-    names, arg = "".join("a%d, " % i for i in range(nargs)), "a0" if nargs == 1 else "args[state.single]"
-    source = _DISCRIMINATING_FUNCTION % (names + "/" if nargs else "", names, arg, fragment)
+    arity and fragment, as namedtuple builds its __new__.  One parameter is
+    `arg` itself, and its tuple is built only for the call; more are packed
+    into `args` once, and `arg` is picked from it."""
+    if nargs == 1:
+        params, pack, args, pick = "arg, /", "", "(arg,)", ""
+    else:
+        names = "".join("a%d, " % i for i in range(nargs))
+        params, pack = names + "/" if nargs else "", "    args = (%s)\n" % names
+        args, pick = "args", "    arg = args[state.single]\n"
+    source = _DISCRIMINATING_FUNCTION % (params, pack, args, pick, fragment, args, args)
     return compile(source, "<discriminating function/%d>" % nargs, "exec")
 
 
@@ -496,8 +508,8 @@ def _discriminating_function(gf):
     method: one written by hand, or one wrapped, which then sees every dispatch."""
     fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
     # its globals are its own: the fragment's module's names, copied (closure
-    # cells would enlarge the frame), gf's state, a weak reference, gf's name and _gone
-    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name, _gone=_gone)
+    # cells would enlarge the frame), gf's state, a weak reference, gf's name, _gone and _live
+    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name, _gone=_gone, _live=_live)
     namespace["ref"] = weakref.ref(gf, lambda _ref: namespace.__setitem__("STATE", _GONE))
     gf._globals = namespace  # where _state reads and _publish stores
     exec(_discriminating_code(gf.nargs, fragment), namespace)

@@ -87,9 +87,9 @@ def make_fact(cache: str = "auto") -> SignumGenericFunction:
     def base_case(args, _next):
         return 1
 
+    # no local beyond the parameters, and the call first, so the frame is small
     def general_case(args, _next):
-        n = args[0]
-        return n * recurse(n - 1)
+        return recurse(args[0] - 1) * args[0]
 
     fact.add_method(Method([SignumSpecializer(0)], base_case))
     fact.add_method(Method([SignumSpecializer(1)], general_case))

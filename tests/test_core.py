@@ -37,6 +37,7 @@ from gendispatch import (
     Specializer,
     class_of,
     intern,
+    make_fact,
     make_negotiator,
     read_sexpr,
 )
@@ -985,3 +986,18 @@ def test_only_a_class_with_a_rule_built_generalizer_of_inlines_it() -> None:
     assert calls == []
     assert fact_of(Handwritten)(5) == 120
     assert calls == [5, 4, 3, 2, 1, 0]
+
+
+def test_each_fact_level_keeps_two_small_frames() -> None:
+    # deep recursion pays on every call for each 16 KiB frame-stack chunk
+    # it crosses, so each word a level's frames hold moves the crossings
+    # shallower: no argument tuple, no copy of the argument and no self
+    for cls in (GenericFunction, SignumGenericFunction, ConsGenericFunction, AcceptGenericFunction):
+        assert cls.generalizer_of in core._FRAGMENTS, cls  # a compiled rule
+        code = cls("small", 1).discriminating_function.__code__
+        assert not {"a0", "args", "self"} & set(code.co_varnames), (cls, code.co_varnames)
+        assert not code.co_cellvars and not code.co_freevars, cls
+        assert code.co_stacksize <= 5, cls
+    fact = make_fact()
+    general_case = next(m.body for m in fact.methods if m.specializers == (SignumSpecializer(1),))
+    assert general_case.__code__.co_varnames == ("args", "_next")

@@ -28,6 +28,7 @@ from gendispatch import (
     read_sexpr,
     walk_check,
 )
+from gendispatch import walker
 from gendispatch.bench import StandardWalker, monolithic_check
 from gendispatch.walker import UNBOUND_VARIABLE, UNUSED_BINDING, Environment
 
@@ -254,6 +255,29 @@ def test_walk_function_generalizes_cons_subclasses_by_head() -> None:
             # the standard function's class generalizer: a head the walker's
             # methods do not name, such as f, decides nothing
             assert gf.generalizer_of(v) is class_of(v), v
+
+
+class _Int(int):
+    pass
+
+
+def test_the_cons_rule_probes_atoms_by_exact_type_before_calling_class_of(monkeypatch) -> None:
+    # symbols, ints, strings and nil take the class table's exact-type probe,
+    # as the class rule does; an int subclass still reaches class_of
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return class_of(value)
+
+    source = '(let ((y 1) (s "s")) (f x y 2 "t" nil))'
+    expected = diagnostic_pairs(Walker().check_source(source))
+    monkeypatch.setattr(walker, "class_of", counting)
+    counted = Walker()
+    assert diagnostic_pairs(counted.check_source(source)) == expected
+    assert calls == []
+    assert counted.check_form(_Int(3)) == []
+    assert calls == [3] and type(calls[0]) is _Int
 
 
 def test_heads_no_method_names_share_the_cons_class_generalizer() -> None:
