@@ -456,15 +456,15 @@ class GenericFunction:
 # crosses them less often.  The generalizer is computed by a generalizer rule's
 # fragment or by _CALL; only a miss, a key tuple or _CALL reads ref
 _DISCRIMINATING_FUNCTION = """\
-def discriminating_function(%s):
-%s    state = STATE
+def discriminating_function(%(params)s):
+%(pack)s    state = STATE
     if state.single is None:
-        return _live(ref, name)._discriminate(%s, state)
-%s    g = %s
+        return _live(ref, name)._discriminate(%(args)s, state)
+%(pick)s    g = %(fragment)s
     entry = state.cache.get(g)
     if entry is not None:
-        return entry[0](%s, entry[1])
-    return _live(ref, name)._dispatch(%s, (g,), state)
+        return entry[0](%(args)s, entry[1])
+    return _live(ref, name)._dispatch(%(args)s, (g,), state)
 """
 _CALL = "(self if (self := ref()) is not None else _gone(name)).generalizer_of(arg, state.single)"
 _GONE = DispatchState((), "none")  # a collected function's STATE: every call reaches ref
@@ -486,16 +486,16 @@ def _live(ref, name):
 def _discriminating_code(nargs, fragment):
     """The code of a discriminating function of `nargs` positional-only
     parameters that computes the generalizer by `fragment`, compiled once per
-    arity and fragment, as namedtuple builds its __new__.  One parameter is
-    `arg` itself, and its tuple is built only for the call; more are packed
-    into `args` once, and `arg` is picked from it."""
+    arity and fragment, as namedtuple builds its __new__.  A single parameter
+    is `arg` itself, put in a tuple only for the call; more are packed into
+    `args` once, and `arg` is picked from it."""
     if nargs == 1:
-        params, pack, args, pick = "arg, /", "", "(arg,)", ""
+        parts = dict(params="arg, /", pack="", args="(arg,)", pick="")
     else:
         names = "".join("a%d, " % i for i in range(nargs))
-        params, pack = names + "/" if nargs else "", "    args = (%s)\n" % names
-        args, pick = "args", "    arg = args[state.single]\n"
-    source = _DISCRIMINATING_FUNCTION % (params, pack, args, pick, fragment, args, args)
+        parts = dict(params=names + "/" if nargs else "", pack="    args = (%s)\n" % names,
+                     args="args", pick="    arg = args[state.single]\n")
+    source = _DISCRIMINATING_FUNCTION % dict(parts, fragment=fragment)
     return compile(source, "<discriminating function/%d>" % nargs, "exec")
 
 

@@ -292,7 +292,7 @@ def test_serve_requires_a_port(capsys) -> None:
         (["negotiate", "*/*", "text /html"], "media type must be concrete: 'text /html'"),
         (["negotiate", "*/*", "te,xt/html"], "media type must be concrete: 'te,xt/html'"),
         (["negotiate", "*/*", "text/html;q=1"], "media type must be concrete: 'text/html;q=1'"),
-        # None where the interpreter has no limit on integer digits (3.10)
+        # None where the interpreter has no limit on integer digits (before 3.10.7)
         (["fact", "1" * 5000], _INT_LIMIT and "integer too long: 5000 digits (limit %d)" % _INT_LIMIT()),
     ],
 )
