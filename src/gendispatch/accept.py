@@ -14,9 +14,10 @@ shares one cache entry.  Per method set, a match table maps each range that
 can match the function's media types to them, so ranking is one probe per
 range, a grammar parses only the types and subtypes in that table, and a
 bounded memo maps header text to its generalizer, so a repeated header is
-not parsed again.  The rule is built by core.generalizer_rule, so the
-discriminating function probes that memo inline and calls _rank only for a
-header it has not seen.
+not parsed again.  The class states that rule as its generalizer_rule, so
+the discriminating function probes that memo inline for a request and calls
+_rank only for a header it has not seen; any other argument, a header string
+among them, goes through _generalize.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from collections import namedtuple
 from functools import cache, lru_cache
 
 from .model import CLASSES, ClassRef, Request, class_of
-from .core import DispatchState, Generalizer, GenericFunction, generalizer_rule
-from .core import Method, NoApplicableMethod, Specializer
+from .core import DispatchState, Generalizer, GenericFunction, Method, NoApplicableMethod, Specializer
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9a-z-]+"
 _MEDIA_TYPE = re.compile("%s/%s" % (_TOKEN, _TOKEN)).fullmatch
@@ -195,7 +195,7 @@ def _weight(q: str) -> int:
 # every ASCII q spelling _GRAMMAR admits, and "" for a missing q
 _WEIGHTS = {q: _weight(q) for q in ["", "0", "0.", "1", "1.", "1.0", "1.00", "1.000"]
             + ["0.%0*d" % (n, i) for n in (1, 2, 3) for i in range(10**n)]}
-_REQUEST, _STRING = CLASSES["request"], CLASSES["string"]
+_REQUEST = CLASSES["request"]
 
 
 def _rank(state, header: str, next_generalizer: ClassRef) -> AcceptGeneralizer:
@@ -227,7 +227,7 @@ def _rank(state, header: str, next_generalizer: ClassRef) -> AcceptGeneralizer:
 
 
 def _generalize(state, arg):
-    # the rule for an argument that is not exactly a request or a string
+    # the rule for an argument that is not exactly a request
     header, next_generalizer = _header_of(arg), class_of(arg)
     if header is None:
         return next_generalizer
@@ -238,12 +238,11 @@ class AcceptGenericFunction(GenericFunction):
     kind = "accept"
     _state_class = _AcceptState
 
-    # a request or a string by its header's memoized generalizer, ranked on a
-    # miss, and any other value by _generalize
-    generalizer_of = generalizer_rule("AcceptGenericFunction", (
+    # a request by its header's memoized generalizer, ranked on a miss, and any
+    # other value, a header string among them, by _generalize
+    generalizer_rule = (
         "(state.memo.get((header := arg.accept, _REQUEST)) or _rank(state, header, _REQUEST))"
-        " if arg.__class__ is Request else (state.memo.get((arg, _STRING)) or _rank(state, arg, _STRING))"
-        " if arg.__class__ is str else _generalize(state, arg)"), globals())
+        " if arg.__class__ is Request else _generalize(state, arg)")
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, AcceptSpecializer):

@@ -22,14 +22,17 @@ level of recursion.  It reads STATE, the DispatchState that its own globals
 hold and each method change replaces, once per call, computes the
 generalizers, probes the state's cache and runs the cached entry, or on a miss
 calls _dispatch, the one miss path, through its weak reference to gf; a method
-body that recurses should call it directly.  A class whose generalizer_of is
-built by generalizer_rule, as the class, signum, cons and Accept rules are,
-has that rule's expression inlined in the single-position path in place of
-the call; one written by hand or wrapped is called.
+body that recurses should call it directly.  Each class states its generalizer
+rule, `generalizer_rule`, as an expression over `arg` and `state`, and the one
+generalizer_of runs it: the class, signum, cons and Accept rules are stated so.
+While a class's generalizer_of is that method, the single-position path has
+the rule's expression inlined in place of the call; one written by hand or
+wrapped is called.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from functools import cache, cmp_to_key
@@ -178,34 +181,6 @@ class DispatchState:
         self.cache = {}
 
 
-_GENERALIZER_RULE = """\
-def generalizer_of(self, arg, position=0):
-    state = self._state
-    return %s
-"""
-
-# each generalizer_of that generalizer_rule built -> (its fragment, namespace);
-# by identity, so a wrapper, even one that copies its attributes, is not one
-_FRAGMENTS = {}
-
-
-def generalizer_rule(owner: str, fragment: str, namespace: dict):
-    """The generalizer_of method of class `owner`, built from `fragment`: an
-    expression over the argument `arg` and the probed dispatch state `state`,
-    whose other names are looked up in `namespace`, the defining module's
-    globals.  While a class's generalizer_of is such a method, the
-    discriminating functions of its generic functions compute the generalizer
-    of the one dispatch position by the same fragment, inlined, with a copy of
-    those globals taken when each is built."""
-    scope = {}
-    exec(compile(_GENERALIZER_RULE % fragment, "<%s.generalizer_of>" % owner, "exec"), namespace, scope)
-    function = scope["generalizer_of"]
-    function.__qualname__ = owner + ".generalizer_of"
-    function.__doc__ = "The generalizer of `arg`, by the rule %s" % fragment
-    _FRAGMENTS[function] = (fragment, namespace)
-    return function
-
-
 def _specializer_rank(s) -> int:
     # cross-kind precedence: eql beats extension kinds beats class
     if isinstance(s, EqlSpecializer):
@@ -233,6 +208,8 @@ class GenericFunction:
 
     kind = "standard"
     _state_class = DispatchState  # an extension names its own subclass
+    # the class rule: the exact-type probe of class_of, inlined
+    generalizer_rule = "_EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)"
 
     def __init__(self, name: str, nargs: int, cache: str = "auto"):
         if cache not in ("auto", "list", "none"):
@@ -284,11 +261,13 @@ class GenericFunction:
 
     # -- dispatch protocol: extension points
 
-    # generalizer_of(arg, position) is the generalizer of one argument, and
-    # also the cache key, so equal generalizers must be one object.  The
-    # default is its class: the exact-type probe of class_of, inlined
-    generalizer_of = generalizer_rule(
-        "GenericFunction", "_EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)", globals())
+    def generalizer_of(self, arg, position=0):
+        """The generalizer of one argument, and also the cache key, so equal
+        generalizers must be one object: the class's generalizer_rule, an
+        expression over `arg` and the dispatch state `state`, evaluated in the
+        globals of the module that states it."""
+        namespace = self._globals
+        return namespace["rule"](arg, namespace["STATE"])
 
     def specializer_accepts_generalizer(self, s: Specializer, g: Generalizer):
         """Return (accepts, definitive).  A non-definitive answer forces the
@@ -453,9 +432,14 @@ class GenericFunction:
 # only the single-position hit path is in this frame, and a one-parameter
 # function's frame holds no argument tuple and no copy of its argument: a small
 # frame fills the interpreter's frame-stack chunks later, so deep recursion
-# crosses them less often.  The generalizer is computed by a generalizer rule's
-# fragment or by _CALL; only a miss, a key tuple or _CALL reads ref
+# crosses them less often.  The generalizer is computed by the class's rule,
+# inlined, or by _CALL; only a miss, a key tuple or _CALL reads ref.  rule is
+# the same expression as a function, which generalizer_of calls
 _DISCRIMINATING_FUNCTION = """\
+def rule(arg, state):
+    return %(rule)s
+
+
 def discriminating_function(%(params)s):
 %(pack)s    state = STATE
     if state.single is None:
@@ -466,36 +450,34 @@ def discriminating_function(%(params)s):
         return entry[0](%(args)s, entry[1])
     return _live(ref, name)._dispatch(%(args)s, (g,), state)
 """
-_CALL = "(self if (self := ref()) is not None else _gone(name)).generalizer_of(arg, state.single)"
+_CALL = "_live(ref, name).generalizer_of(arg, state.single)"
 _GONE = DispatchState((), "none")  # a collected function's STATE: every call reaches ref
-
-
-def _gone(name):
-    raise ReferenceError("the generic function %s no longer exists" % name)
+_GENERALIZER_OF = GenericFunction.generalizer_of  # the one whose rule may be inlined
 
 
 def _live(ref, name):
-    """The generic function that `ref` refers to; else _gone(name) raises."""
+    """The generic function that `ref` refers to, else a ReferenceError naming it."""
     gf = ref()
     if gf is None:
-        _gone(name)
+        raise ReferenceError("the generic function %s no longer exists" % name)
     return gf
 
 
 @cache
-def _discriminating_code(nargs, fragment):
-    """The code of a discriminating function of `nargs` positional-only
-    parameters that computes the generalizer by `fragment`, compiled once per
-    arity and fragment, as namedtuple builds its __new__.  A single parameter
-    is `arg` itself, put in a tuple only for the call; more are packed into
-    `args` once, and `arg` is picked from it."""
+def _discriminating_code(nargs, rule, fragment):
+    """The code of `rule` and of a discriminating function of `nargs`
+    positional-only parameters that computes the generalizer by `fragment`
+    (`rule` itself, or _CALL), compiled once per arity, rule and fragment, as
+    namedtuple builds its __new__.  A single parameter is `arg` itself, put
+    in a tuple only for the call; more are packed into `args` once, and `arg`
+    is picked from it."""
     if nargs == 1:
         parts = dict(params="arg, /", pack="", args="(arg,)", pick="")
     else:
         names = "".join("a%d, " % i for i in range(nargs))
         parts = dict(params=names + "/" if nargs else "", pack="    args = (%s)\n" % names,
                      args="args", pick="    arg = args[state.single]\n")
-    source = _DISCRIMINATING_FUNCTION % dict(parts, fragment=fragment)
+    source = _DISCRIMINATING_FUNCTION % dict(parts, rule=rule, fragment=fragment)
     return compile(source, "<discriminating function/%d>" % nargs, "exec")
 
 
@@ -503,16 +485,20 @@ def _discriminating_function(gf):
     """The discriminating function of `gf`, whose globals hold gf's dispatch
     state as STATE: read once per call, so each call sees one method set, and
     replaced by each method change.  It holds gf weakly, so a method body that
-    keeps it does not keep gf alive.  It inlines the fragment of gf's class's
-    generalizer_of when generalizer_rule built that method, and else calls the
-    method: one written by hand, or one wrapped, which then sees every dispatch."""
-    fragment, namespace = _FRAGMENTS.get(type(gf).generalizer_of, (_CALL, {"__name__": __name__}))
-    # its globals are its own: the fragment's module's names, copied (closure
-    # cells would enlarge the frame), gf's state, a weak reference, gf's name, _gone and _live
-    namespace = dict(namespace, STATE=gf._state_class((), gf.cache_mode), name=gf.name, _gone=_gone, _live=_live)
+    keeps it does not keep gf alive.  It inlines gf's class's generalizer_rule
+    while that class's generalizer_of is core's own, and else calls the method:
+    one written by hand, or one wrapped, which then sees every dispatch."""
+    owner = next(c for c in type(gf).__mro__ if "generalizer_rule" in vars(c))
+    rule = owner.generalizer_rule
+    fragment = rule if type(gf).generalizer_of is _GENERALIZER_OF else _CALL
+    # its globals are its own: the names of the module that states the rule,
+    # copied (closure cells would enlarge the frame), gf's state, a weak
+    # reference, gf's name and _live
+    namespace = dict(vars(sys.modules[owner.__module__]), STATE=gf._state_class((), gf.cache_mode),
+                     name=gf.name, _live=_live)
     namespace["ref"] = weakref.ref(gf, lambda _ref: namespace.__setitem__("STATE", _GONE))
-    gf._globals = namespace  # where _state reads and _publish stores
-    exec(_discriminating_code(gf.nargs, fragment), namespace)
+    gf._globals = namespace  # where _state and generalizer_of read and _publish stores
+    exec(_discriminating_code(gf.nargs, rule, fragment), namespace)
     function = namespace["discriminating_function"]
     function.__qualname__ = gf.name  # so a wrong argument count names gf
     return function

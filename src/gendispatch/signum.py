@@ -5,7 +5,7 @@ motivates it: one method for sign 0, one for sign 1.
 from __future__ import annotations
 
 from .model import class_of
-from .core import Generalizer, GenericFunction, Method, Specializer, generalizer_rule
+from .core import Generalizer, GenericFunction, Method, Specializer
 
 
 def signum(x):
@@ -66,10 +66,10 @@ class SignumGenericFunction(GenericFunction):
     kind = "signum"
 
     # an int or a float by its sign, and NaN or any other value by its class
-    generalizer_of = generalizer_rule("SignumGenericFunction", (
+    generalizer_rule = (
         "(_PLUS if arg > 0 else _MINUS if arg < 0 else _ZERO) if arg.__class__ is int"
         " else (_PLUS_F if arg > 0 else _ZERO_F if arg == 0 else _MINUS_F if arg < 0 else class_of(arg))"
-        " if arg.__class__ is float else class_of(arg)"), globals())
+        " if arg.__class__ is float else class_of(arg)")
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, SignumSpecializer):

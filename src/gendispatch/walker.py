@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .model import _EXACT_CLASS_OF, CLASSES, NIL, Cons, Record, Symbol, class_of, intern
 from .core import ANY, ClassSpecializer, DispatchState, Generalizer, GenericFunction, Method, Specializer
-from .core import generalizer_rule
 from .reader import read_sexpr
 
 UNUSED_BINDING = "unused-binding"
@@ -88,9 +87,9 @@ class ConsGenericFunction(GenericFunction):
     # a cons by its head's generalizer (its car is probed only if a symbol: a
     # cons is unhashable), and any other value by its class, probed by exact
     # type first as the class rule does
-    generalizer_of = generalizer_rule("ConsGenericFunction", (
+    generalizer_rule = (
         "(state.heads.get(car, _CONS_GENERALIZER) if isinstance(car := arg.car, Symbol) else _CONS_GENERALIZER)"
-        " if isinstance(arg, Cons) else _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)"), globals())
+        " if isinstance(arg, Cons) else _EXACT_CLASS_OF.get(arg.__class__) or class_of(arg)")
 
     def specializer_accepts_generalizer(self, s, g):
         if isinstance(s, ConsSpecializer):

@@ -988,12 +988,53 @@ def test_only_a_class_with_a_rule_built_generalizer_of_inlines_it() -> None:
     assert calls == [5, 4, 3, 2, 1, 0]
 
 
+_RULE_ARGS = []
+
+
+def _rule_of_this_module(arg, state):
+    # a generalizer rule's helper that only this test module defines
+    _RULE_ARGS.append(arg)
+    return class_of(arg)
+
+
+class _StatedRule(GenericFunction):
+    generalizer_rule = "_rule_of_this_module(arg, state)"
+
+
+def test_a_rule_stated_outside_the_package_is_inlined_in_its_own_module() -> None:
+    # the rule is read from the class and resolved in the globals of the
+    # module that states it, also for a subclass made in another namespace
+    elsewhere = {"__name__": "elsewhere", "StatedRule": _StatedRule}
+    exec("class Inheriting(StatedRule):\n    pass\n", elsewhere)
+    inheriting = elsewhere["Inheriting"]
+    assert inheriting.__module__ not in sys.modules and "generalizer_rule" not in vars(inheriting)
+    for cls in (_StatedRule, inheriting):
+        gf = cls("stated", 1)
+        gf.add_method(Method([cls_spec("integer")], tagged("integer")))
+        gf.generalizer_of = lambda arg, position=0: pytest.fail("an instance attribute was called")
+        code = gf.discriminating_function.__code__
+        assert "_rule_of_this_module" in code.co_names and "generalizer_of" not in code.co_names
+        misses = _recording_misses(gf)
+        _RULE_ARGS.clear()
+        for v in (3, 4, "x"):
+            first = _call_outcome(gf, (v,))
+            assert _call_outcome(gf, (v,)) == first  # a miss, then a hit
+        assert _RULE_ARGS == [3, 3, 4, 4, "x", "x"]
+        assert [key for _args, (key,) in misses] == [CLASSES["integer"], CLASSES["string"]]
+        for v in (3, 4, "x"):
+            assert type(gf).generalizer_of(gf, v) is class_of(v), (cls, v)
+        assert set(gf._state.cache) == {CLASSES["integer"], CLASSES["string"]}
+
+
 def test_each_fact_level_keeps_two_small_frames() -> None:
     # deep recursion pays on every call for each 16 KiB frame-stack chunk
     # it crosses, so each word a level's frames hold moves the crossings
-    # shallower: no argument tuple, no copy of the argument and no self
+    # shallower: no argument tuple, no copy of the argument and no self,
+    # whether the rule is inlined or, for a hand-written one, called
     for cls in (GenericFunction, SignumGenericFunction, ConsGenericFunction, AcceptGenericFunction):
-        assert cls.generalizer_of in core._FRAGMENTS, cls  # a compiled rule
+        assert cls.generalizer_of is core._GENERALIZER_OF, cls  # its stated rule is inlined
+    assert _HandwrittenSignum.generalizer_of is not core._GENERALIZER_OF
+    for cls in (GenericFunction, SignumGenericFunction, ConsGenericFunction, AcceptGenericFunction, _HandwrittenSignum):
         code = cls("small", 1).discriminating_function.__code__
         assert not {"a0", "args", "self"} & set(code.co_varnames), (cls, code.co_varnames)
         assert not code.co_cellvars and not code.co_freevars, cls
